@@ -211,7 +211,7 @@ def _minimal_violation_window(
             )
 
     mass = spec.range_sum(k, k + m_min)
-    rhs = to_iv(spec.power_sum(alpha, k, k + m_min))
+    rhs = spec.power_sum(alpha, k, k + m_min)
     for M in range(m_min, _LINEAR_M_CAP + 1):
         if M > m_min:
             q = spec.q(k + M)

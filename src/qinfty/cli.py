@@ -38,6 +38,7 @@ from .expansion import (
     right_end,
 )
 from .faithfulness import (
+    CONDITION_PREC,
     CSV_HEADER,
     ConditionQuery,
     check_condition,
@@ -45,8 +46,6 @@ from .faithfulness import (
 )
 from .qvector import QVectorSpec
 from .rigor import lower, parse_frac, upper, workprec
-
-_CONDITION_LADDER = (64, 96, 192)
 
 
 def _load_qvec(path: str) -> QVectorSpec:
@@ -144,10 +143,7 @@ def _cmd_check_condition(args) -> int:
         n_max=args.n_max,
         M_max=args.M_max,
     )
-    ladder = _CONDITION_LADDER
-    if args.precision_bits > ladder[-1]:
-        ladder = ladder + (args.precision_bits,)
-    verdict = check_condition(spec, query, ladder=ladder)
+    verdict = check_condition(spec, query, prec=args.precision_bits)
     _emit(verdict.to_json(), args.out)
     print(f"check-condition: {verdict.outcome}")
     return 0
@@ -323,11 +319,10 @@ def _cmd_selftest(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=rigor.DEFAULT_PREC,
-                     help="working precision for enclosures (default 96)")
+                     help="first rung of the start/2x/4x precision ladder "
+                     "(default %(default)s)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for any randomized checks (default 0)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker hint; execution is serial either way")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M-max", type=int, required=True)
     p.add_argument("--out")
     _add_common(p)
-    p.set_defaults(handler=_cmd_check_condition)
+    p.set_defaults(handler=_cmd_check_condition, precision_bits=CONDITION_PREC)
 
     p = subs.add_parser("scan-condition", help="margin table over a grid")
     p.add_argument("--qvec", required=True)
@@ -437,8 +432,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
         if args.precision_bits < 16:
             parser.error("--precision-bits must be at least 16")
     except SystemExit as exc:

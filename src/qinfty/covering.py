@@ -15,7 +15,7 @@ being trusted.
 
 All bound checks compare an upper bound of the left-hand side against a
 lower bound of the right-hand side; a check that cannot be certified at
-the working precision escalates the precision ladder and finally raises
+the working precision climbs ``rigor.ladder`` and finally raises
 CapacityError rather than report an unverified certificate.
 """
 
@@ -36,14 +36,14 @@ from .expansion import (
     QRational,
     RightEndpoint,
     cylinder_length,
+    decode,
     locate_max_cylinder,
     right_end,
 )
 from .qvector import QVectorSpec
-from .rigor import Num, ipow, lower, to_iv, upper, workprec
+from .rigor import Num, ipow, lower, max_num, to_iv, upper, workprec
 
 _SEARCH_CAP = 2**64
-_LADDER = (rigor.DEFAULT_PREC, 2 * rigor.DEFAULT_PREC, 4 * rigor.DEFAULT_PREC)
 
 MODE_CERTIFIED_RESIDUAL = "certified_residual"
 MODE_LAZY_STREAM = "lazy_stream"
@@ -85,16 +85,11 @@ def block_length(spec: QVectorSpec, block: Block) -> Num:
 
 def block_bounds(spec: QVectorSpec, block: Block) -> tuple[Num, Num]:
     """(left endpoint, right endpoint) of the block's interval."""
-    from .expansion import decode
-
     base = decode(spec, block.prefix)
-    head_lo = spec.head_sum(block.first)
-    head_hi = spec.head_sum(block.last + 1)
-    if isinstance(base.left, Fraction) and isinstance(head_lo, Fraction):
-        return base.left + base.length * head_lo, base.left + base.length * head_hi
-    left = to_iv(base.left) + to_iv(base.length) * to_iv(head_lo)
-    right = to_iv(base.left) + to_iv(base.length) * to_iv(head_hi)
-    return left, right
+    return (
+        base.left + base.length * spec.head_sum(block.first),
+        base.left + base.length * spec.head_sum(block.last + 1),
+    )
 
 
 def alpha_volume(spec: QVectorSpec, blocks, alpha: Fraction) -> Num:
@@ -107,7 +102,7 @@ def alpha_volume(spec: QVectorSpec, blocks, alpha: Fraction) -> Num:
         raise ParameterRangeError("alpha must lie in (0, 1]")
     blocks = list(blocks)
     if not blocks:
-        return Fraction(0) if spec.is_exact else to_iv(0)
+        return spec.num(0)
     if alpha == 1 and spec.is_exact:
         return sum(block_length(spec, blk) for blk in blocks)
     total = to_iv(0)
@@ -286,10 +281,7 @@ def _kappa_cached(spec: QVectorSpec, alpha: Fraction, delta: Fraction, prec: int
     limit = int(upper(peak)) + 2
     best = to_iv(0)
     for s in range(1, limit + 1):
-        term = s * ipow(qmax, delta * s / 2)
-        blo, bhi = rigor.endpoints(best)
-        tlo, thi = rigor.endpoints(term)
-        best = rigor.hull(max(blo, tlo), max(bhi, thi))
+        best = max_num(best, s * ipow(qmax, delta * s / 2))
     w = best
     k = 1 + ipow(spec.q(0), -alpha) + 2 * w / ((1 - c) * c)
     return w, k
@@ -642,15 +634,16 @@ def cover_interval(
     siblings and one deeper cylinder (or a partitioned tail when b closes
     the located cylinder), and the left part peels one rank per nonzero
     digit of a, partitioning each rank's tail greedily.
+
+    The volume bound is certified on the first rung of
+    ``rigor.ladder(prec)`` where it separates; CapacityError when none does.
     """
     if not isinstance(a, QRational):
         raise InvalidIntervalError("left endpoint must be a digit-string rational")
     if b is not UNIT_END and not isinstance(b, QRational):
         raise InvalidIntervalError("right endpoint must be a digit-string rational or the unit end")
-    ladder = [max(prec, rigor.DEFAULT_PREC)]
-    ladder += [2 * ladder[0], 4 * ladder[0]]
-    for attempt in ladder:
-        with workprec(attempt):
+    for bits in rigor.ladder(prec):
+        with workprec(bits):
             try:
                 return _cover_once(spec, a, b, params)
             except _RetryPrecision:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from . import rigor
 from .errors import (
@@ -23,9 +23,7 @@ from .errors import (
     ParameterRangeError,
 )
 from .qvector import QVectorSpec
-from .rigor import Num, to_iv, workprec
-
-_ENCODE_PREC_CAP = 1024
+from .rigor import Num, workprec
 
 
 def _check_digits(digits: Iterable[int]) -> tuple[int, ...]:
@@ -178,95 +176,55 @@ def qr_le(a: RightEndpoint, b: RightEndpoint) -> bool:
 
 
 def decode(spec: QVectorSpec, addr: CylinderAddress) -> Cylinder:
-    """Cylinder of an address: exact in exact mode, enclosures otherwise.
+    """Cylinder of an address, in the spec's value kind.
 
     left = sum over positions of (product of earlier weights) * head_sum(digit);
     length = product of all the digit weights.
     """
-    if spec.is_exact:
-        left: Num = Fraction(0)
-        scale: Num = Fraction(1)
-        for d in addr.digits:
-            left = left + scale * spec.head_sum(d)
-            scale = scale * spec.q(d)
-        return Cylinder(address=addr, left=left, length=scale)
-    left_iv = to_iv(0)
-    scale_iv = to_iv(1)
+    left, scale = spec.num(0), spec.num(1)
     for d in addr.digits:
-        left_iv = left_iv + scale_iv * to_iv(spec.head_sum(d))
-        scale_iv = scale_iv * to_iv(spec.q(d))
-    return Cylinder(address=addr, left=left_iv, length=scale_iv)
+        left = left + scale * spec.head_sum(d)
+        scale = scale * spec.q(d)
+    return Cylinder(address=addr, left=left, length=scale)
 
 
 def cylinder_length(spec: QVectorSpec, addr: CylinderAddress) -> Num:
     """Product of the digit weights; equals decode(...).length."""
-    if spec.is_exact:
-        scale: Num = Fraction(1)
-        for d in addr.digits:
-            scale = scale * spec.q(d)
-        return scale
-    scale_iv = to_iv(1)
+    scale = spec.num(1)
     for d in addr.digits:
-        scale_iv = scale_iv * to_iv(spec.q(d))
-    return scale_iv
+        scale = scale * spec.q(d)
+    return scale
 
 
-def _encode_exact(spec: QVectorSpec, x: Fraction, depth: int) -> tuple[int, ...]:
+def _encode_once(spec: QVectorSpec, x: Fraction, depth: int) -> tuple[int, ...]:
+    """Digits by certified comparisons at the current working precision.
+
+    Exact specs always decide; on enclosures an undecided comparison raises
+    BoundaryAmbiguityError naming the two candidate digits.
+    """
+
+    def le_head(pos: int, k: int, cur: Num) -> bool:
+        d = rigor.decide_le(spec.head_sum(k), cur)
+        if d is None:
+            raise BoundaryAmbiguityError(pos + 1, (k - 1, k))
+        return d
+
     digits = []
-    cur = x
-    for _ in range(depth):
-        if cur == 0:
-            digits.append(0)
-            continue
+    cur = spec.num(x)
+    for pos in range(depth):
         hi = 1
-        while spec.head_sum(hi) <= cur:
+        while le_head(pos, hi, cur):
             hi *= 2
         lo = hi // 2
         # invariant: head_sum(lo) <= cur < head_sum(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if spec.head_sum(mid) <= cur:
+            if le_head(pos, mid, cur):
                 lo = mid
             else:
                 hi = mid
-        k = lo
-        digits.append(k)
-        cur = (cur - spec.head_sum(k)) / spec.q(k)
-    return tuple(digits)
-
-
-def _encode_enclosed(spec: QVectorSpec, x: Fraction, depth: int, prec: int) -> tuple[int, ...]:
-    def le_head(k: int, cur) -> Optional[bool]:
-        # head_sum(k) <= cur, certified or None
-        return rigor.decide_le(spec.head_sum(k), cur)
-
-    digits = []
-    cur: Num = x
-    for pos in range(depth):
-        hi = 1
-        while True:
-            d = le_head(hi, cur)
-            if d is None:
-                raise BoundaryAmbiguityError(pos + 1, (hi - 1, hi))
-            if not d:
-                break
-            hi *= 2
-        lo = hi // 2
-        if hi == 1:
-            k = 0
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                d = le_head(mid, cur)
-                if d is None:
-                    raise BoundaryAmbiguityError(pos + 1, (mid - 1, mid))
-                if d:
-                    lo = mid
-                else:
-                    hi = mid
-            k = lo
-        digits.append(k)
-        cur = (to_iv(cur) - to_iv(spec.head_sum(k))) / to_iv(spec.q(k))
+        digits.append(lo)
+        cur = (cur - spec.head_sum(lo)) / spec.q(lo)
     return tuple(digits)
 
 
@@ -274,26 +232,22 @@ def encode(spec: QVectorSpec, x: Fraction, depth: int, prec: int = rigor.DEFAULT
     """First `depth` digits of the expansion of x.
 
     x must be an exact rational in [0,1).  In interval mode the digit
-    comparisons are certified against enclosures; if a digit stays
-    undecidable after escalating precision, a BoundaryAmbiguityError names
-    the two candidates.
+    comparisons are certified against enclosures, climbing
+    ``rigor.ladder(prec)``; if a digit stays undecidable on the top rung, a
+    BoundaryAmbiguityError names the two candidates.
     """
     x = Fraction(x)
     if not (0 <= x < 1):
         raise ParameterRangeError(f"encode expects 0 <= x < 1, got {x}")
     if depth <= 0:
         raise ParameterRangeError("encode depth must be positive")
-    if spec.is_exact:
-        return CylinderAddress(_encode_exact(spec, x, depth))
-    bits = prec
-    while True:
+    for bits in rigor.ladder(prec):
         try:
             with workprec(bits):
-                return CylinderAddress(_encode_enclosed(spec, x, depth, bits))
-        except BoundaryAmbiguityError:
-            if bits >= _ENCODE_PREC_CAP:
-                raise
-            bits = min(2 * bits, _ENCODE_PREC_CAP)
+                return CylinderAddress(_encode_once(spec, x, depth))
+        except BoundaryAmbiguityError as exc:
+            ambiguity = exc
+    raise ambiguity
 
 
 def locate_max_cylinder(

@@ -18,15 +18,15 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import rigor
-from .errors import CapacityError, ParameterRangeError
+from .errors import CapacityError, ParameterRangeError, QinftyError
 from .qvector import QVectorSpec
-from .rigor import Num, ipow, lower, to_iv, upper, workprec
+from .rigor import Num, ipow, lower, upper, workprec
 
 HOLDS = "holds_on_region"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
-_LADDER = (64, 96, 192)
+CONDITION_PREC = 64
 _DIVERGENT_DOUBLING_CAP = 2**40
 
 
@@ -148,8 +148,6 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     undecided = False
     mass = spec.range_sum(n, n + m_min)
     rhs = spec.power_sum(alpha, n, n + m_min)
-    mass = mass if isinstance(mass, Fraction) else to_iv(mass)
-    rhs = to_iv(rhs)
     for M in range(m_min, query.M_max + 1):
         if M > m_min:
             q = spec.q(n + M)
@@ -198,16 +196,16 @@ def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: i
 
 
 def check_condition(
-    spec: QVectorSpec, query: ConditionQuery, ladder: Iterable[int] = _LADDER
+    spec: QVectorSpec, query: ConditionQuery, prec: int = CONDITION_PREC
 ) -> ConditionVerdict:
     """Scan the query region and return the first certified outcome.
 
-    Violations re-verify at doubled working precision before being
-    reported.  When some cell stays unseparated at the top of the ladder
-    the verdict is inconclusive rather than a guess.
+    The scan climbs ``rigor.ladder(prec)`` and reports the first rung that
+    separates every cell.  Violations re-verify at doubled working
+    precision before being reported.  When some cell stays unseparated on
+    the top rung the verdict is inconclusive rather than a guess.
     """
-    last_reason = "empty precision ladder"
-    for bits in ladder:
+    for bits in rigor.ladder(prec):
         with workprec(bits):
             margins: list[tuple[int, Fraction]] = []
             complete = True
@@ -309,6 +307,9 @@ def scan_condition_region(
                 row_cells.append(MarginRow(n, M, lhs_l, rhs_u))
             by_m = sorted((c for c in row_cells if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
-                assert cur.lhs_lower >= prev.lhs_lower and cur.rhs_upper >= prev.rhs_upper
+                if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:
+                    raise QinftyError(
+                        f"row n={n}: bounds decrease from M={prev.M} to M={cur.M}"
+                    )
             rows.extend(row_cells)
     return rows

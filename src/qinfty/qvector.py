@@ -6,8 +6,11 @@ The power-law family is normalized by a zeta value and therefore always
 runs on enclosures.  Custom finite lists are padded with a geometric tail
 (mass carved out of the last user entry) so the alphabet stays infinite.
 
-Numeric results are either ``Fraction`` (exact mode) or ``mpmath.iv``
-intervals; see ``rigor`` for the conventions.
+Each spec owns its value kind: every weight, head, tail and range sum it
+returns is a ``Fraction`` when :attr:`QVectorSpec.is_exact` and an
+``mpmath.iv`` interval otherwise, so callers combine them with plain
+operators.  Power sums are enclosures either way; see ``rigor`` for the
+conventions.
 """
 
 from __future__ import annotations
@@ -21,26 +24,15 @@ from mpmath import iv
 
 from . import rigor
 from .errors import CapacityError, ParameterRangeError
-from .rigor import Num, ipow, powsum, to_iv
+from .rigor import Num, ipow, max_num, powsum, to_iv
 
 _MAX_SCAN = 10**6
 _LUR_DIRECT = 600
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
 def _zeta_enclosure(m0: Fraction, prec: int):
     return powsum(m0, Fraction(0), 1, None)
-
-
-def _max_num(x: Num, y: Num) -> Num:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return max(x, y)
-    xl, xu = rigor.endpoints(x)
-    yl, yu = rigor.endpoints(y)
-    return rigor.hull(max(xl, yl), max(xu, yu))
 
 
 @dataclass(frozen=True)
@@ -101,6 +93,10 @@ class QVectorSpec:
     def numeric_mode(self) -> str:
         return "exact" if self.is_exact else "interval"
 
+    def num(self, x) -> Num:
+        """Lift an exact constant (int or Fraction) to this spec's value kind."""
+        return Fraction(x) if self.is_exact else to_iv(x)
+
     def _norm_const(self):
         """Power-law normalizer 1/zeta(m0) as an enclosure."""
         return 1 / _zeta_enclosure(self.m0, iv.prec)
@@ -133,7 +129,7 @@ class QVectorSpec:
         if n < 0:
             raise ParameterRangeError("head_sum index must be nonnegative")
         if n == 0:
-            return _ZERO
+            return self.num(0)
         if self.family == "geometric":
             return 1 - (1 - self.ratio) ** n
         if self.family == "luroth":
@@ -156,12 +152,12 @@ class QVectorSpec:
         k = len(eff)
         if n >= k:
             return self.pad_mass * Fraction(1, 2 ** (n - k))
-        return sum(eff[n:], _ZERO) + self.pad_mass
+        return sum(eff[n:]) + self.pad_mass
 
     def range_sum(self, a: int, b: int) -> Num:
         """sum_{i=a}^{b} q_i (empty when b < a)."""
         if b < a:
-            return _ZERO
+            return self.num(0)
         if self.is_exact:
             return self.head_sum(b + 1) - self.head_sum(a)
         return self._norm_const() * powsum(self.m0, Fraction(0), a + 1, b + 1)
@@ -177,7 +173,7 @@ class QVectorSpec:
             t = self.tail_sum(i)
             if rigor.lt_certain(t, best):
                 return best, i
-            best = _max_num(best, self.q(i))
+            best = max_num(best, self.q(i))
             i += 1
         raise CapacityError("max_weight scan exceeded its iteration cap")
 

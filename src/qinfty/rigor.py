@@ -6,7 +6,8 @@ enclosures (``mpmath.iv`` intervals) everywhere else.  This module owns the
 conversions between the two, certified comparisons, and the Euler-Maclaurin
 brackets for power sums over integer ranges.  Every enclosure produced here
 contains its true value regardless of working precision; precision only
-controls width.
+controls width.  When a certified decision needs a narrower enclosure,
+every escalating search climbs the same precision rungs, :func:`ladder`.
 
 mpmath's interval context is process-global, so all precision-sensitive
 regions are serialized behind one lock.  Callers get thread safety at the
@@ -40,6 +41,11 @@ _B2K = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30)]
 _B10 = Fraction(5, 66)
 
 
+def ladder(start: int) -> tuple[int, int, int]:
+    """Working precisions an escalating search tries in order: start, 2x, 4x."""
+    return (start, 2 * start, 4 * start)
+
+
 @contextmanager
 def workprec(bits: int = DEFAULT_PREC):
     """Run a block at the given iv working precision, serialized."""
@@ -58,8 +64,6 @@ def to_iv(x) -> "iv.mpf":
         if x.denominator == 1:
             return iv.mpf(x.numerator)
         return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    if isinstance(x, int):
-        return iv.mpf(x)
     return iv.mpf(x)
 
 
@@ -98,6 +102,15 @@ def hull(lo: Num, hi: Num) -> "iv.mpf":
     a = to_iv(lo)
     b = to_iv(hi)
     return iv.mpf([mp.make_mpf(a._mpi_[0]), mp.make_mpf(b._mpi_[1])])
+
+
+def max_num(x: Num, y: Num) -> Num:
+    """Enclosure of max(x, y); exact when both are exact."""
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return max(x, y)
+    xl, xu = endpoints(x)
+    yl, yu = endpoints(y)
+    return hull(max(xl, yl), max(xu, yu))
 
 
 def plus_minus(x: Num, err: Num) -> "iv.mpf":

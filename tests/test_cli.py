@@ -94,6 +94,21 @@ def test_check_condition_holds(qvec_files, tmp_path, capsys):
     assert "holds_on_region" in capsys.readouterr().out
 
 
+def test_check_condition_precision_is_first_rung(qvec_files, tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    rc = main([
+        "check-condition", "--qvec", qvec_files["geometric"],
+        "--alpha", "0.5", "--delta", "0.1",
+        "--N", "17", "--n-max", "20", "--M-max", "30",
+        "--precision-bits", "128", "--out", str(out),
+    ])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["outcome"] == "holds_on_region"
+    assert doc["precision_bits"] == 128
+    capsys.readouterr()
+
+
 def test_check_condition_violated_still_exit_zero(qvec_files, tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc = main([

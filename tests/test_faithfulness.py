@@ -13,7 +13,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qinfty.errors import ParameterRangeError
+from qinfty import faithfulness
+from qinfty.errors import ParameterRangeError, QinftyError
 from qinfty.faithfulness import (
     CSV_HEADER,
     HOLDS,
@@ -147,11 +148,14 @@ def test_empty_region_holds_vacuously():
     assert verdict.min_margin() is None
 
 
-def test_inconclusive_on_empty_ladder():
+def test_inconclusive_names_top_rung(monkeypatch):
+    # a row no rung can separate leaves the verdict inconclusive
+    monkeypatch.setattr(faithfulness, "_check_row", lambda spec, query, n: None)
     query = ConditionQuery(ALPHA_HALF, DELTA_TENTH, 20, 25, 25)
-    verdict = check_condition(GEO, query, ladder=())
+    verdict = check_condition(GEO, query)
     assert verdict.outcome == INCONCLUSIVE
-    assert verdict.reason
+    assert verdict.reason == "cells unseparated at 256 bits"
+    assert verdict.precision_bits == 0
 
 
 def test_custom_family_holds_smoke():
@@ -204,6 +208,18 @@ def test_scan_custom_tiny_grid_no_errors():
 def test_scan_unsorted_m_grid_allowed():
     rows = scan_condition_region(GEO, ALPHA_HALF, DELTA_TENTH, [20], [50, 18])
     assert [r.M for r in rows] == [50, 18]
+
+
+def test_scan_rejects_non_monotone_row(monkeypatch):
+    # bounds of sums of positive terms cannot shrink as M grows
+    real_rhs = faithfulness._rhs
+
+    def shrinking_rhs(spec, n, M, alpha):
+        return real_rhs(spec, n, 100 - M, alpha)
+
+    monkeypatch.setattr(faithfulness, "_rhs", shrinking_rhs)
+    with pytest.raises(QinftyError, match=r"row n=20: .* M=30 to M=40"):
+        scan_condition_region(GEO, ALPHA_HALF, DELTA_TENTH, [20], [30, 40])
 
 
 def test_scan_rejects_empty_grids():

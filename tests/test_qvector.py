@@ -3,8 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from qinfty.errors import CapacityError, ParameterRangeError
+from qinfty.expansion import CylinderAddress, decode
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import contains_value, enclosure_width, lower, upper, workprec
 
@@ -54,6 +56,16 @@ def test_numeric_modes():
     assert LUR.is_exact and GEO.is_exact and CUSTOM.is_exact
     assert not PL2.is_exact
     assert PL2.numeric_mode == "interval"
+
+
+@pytest.mark.parametrize("spec", [GEO, LUR, CUSTOM, PL2], ids=["geo", "luroth", "custom", "powerlaw"])
+def test_queries_return_the_spec_value_kind(spec):
+    kind = Fraction if spec.is_exact else iv.mpf
+    cyl = decode(spec, CylinderAddress(()))
+    values = [spec.head_sum(0), spec.range_sum(5, 4), spec.num(1), cyl.left, cyl.length]
+    assert all(type(v) is kind for v in values)
+    assert all(lower(v) == upper(v) for v in values)
+    assert lower(spec.head_sum(0)) == 0 and lower(cyl.length) == 1
 
 
 # --- individual weights ------------------------------------------------------
