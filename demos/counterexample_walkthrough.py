@@ -1,8 +1,8 @@
 """Build the Cantor-type counterexample set and inspect its levels.
 
-Every level picks an offset k_n (tail below budget) and the minimal
-window M_n whose mass breaks the inequality, then normalizes the digit
-distribution. With the split covering the finite-depth volume crossing
+Every level picks an offset k_n (tail below budget) and a window M_n
+whose mass breaks the inequality (the least one while the search scans
+window by window), then normalizes the digit distribution. With the split covering the finite-depth volume crossing
 sits well above the block-union crossing.
 """
 

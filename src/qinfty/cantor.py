@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import rigor
 from .errors import (
@@ -27,8 +27,9 @@ from .errors import (
     NoViolationError,
     ParameterRangeError,
 )
+from .faithfulness import window_fast_margin, window_scan
 from .qvector import QVectorSpec
-from .rigor import DEFAULT_PREC, endpoints, ipow, lower, to_iv, upper, workprec
+from .rigor import DEFAULT_PREC, Num, endpoints, ipow, lower, to_iv, upper, workprec
 
 PHI_SPLIT = "phi_split"
 BLOCK_UNION = "block_union"
@@ -166,58 +167,25 @@ def sample_address(spec: CantorSpec, level: int, rng) -> CantorAddress:
     return CantorAddress(tuple(digits))
 
 
-def _first_true(
-    pred: Callable[[int], bool], start: int, cap: int, fail: Exception
-) -> int:
-    """Minimal index >= start where the monotone predicate certifies true."""
-    if pred(start):
-        return start
-    lo, step = start, 1
-    while True:
-        hi = lo + step
-        if hi > cap:
-            raise fail
-        if pred(hi):
-            break
-        lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _minimal_violation_window(
     spec: QVectorSpec, alpha: Fraction, delta: Fraction, k: int, N: int
 ) -> int:
-    """Smallest M > N whose window [k, k+M] certifiably violates the
-    tail inequality.
+    """An M > N whose window [k, k+M] certifiably violates the tail
+    inequality: the least one while the linear scan lasts.
 
-    Truly minimal while the linear scan lasts; past the linear cap the
-    search switches to the monotone sufficient test lower(sum q^alpha) >
-    upper(tail^(alpha-delta)), whose first certified index still yields a
-    certified violation because the window mass never exceeds the tail.
+    Past the linear cap the search switches to the monotone sufficient test
+    lower(sum q^alpha) > upper(tail^(alpha-delta)), which still certifies a
+    violation because the window mass never exceeds the tail, but returns
+    the first M that test certifies; smaller windows may already violate.
     """
     expo = alpha - delta
     m_min = N + 1
-    if spec.power_tail_converges(alpha):
-        lhs_min = ipow(spec.range_sum(k, k + m_min), expo)
-        rhs_inf = spec.power_sum(alpha, k)
-        if lower(lhs_min) >= upper(rhs_inf):
-            raise NoViolationError(
-                f"inequality certifiably holds for every window at offset {k}"
-            )
-
-    mass = spec.range_sum(k, k + m_min)
-    rhs = spec.power_sum(alpha, k, k + m_min)
-    for M in range(m_min, _LINEAR_M_CAP + 1):
-        if M > m_min:
-            q = spec.q(k + M)
-            mass = mass + q
-            rhs = rhs + ipow(q, alpha)
-        if upper(ipow(mass, expo)) < lower(rhs):
+    if window_fast_margin(spec, k, alpha, expo, m_min) is not None:
+        raise NoViolationError(
+            f"inequality certifiably holds for every window at offset {k}"
+        )
+    for M, lhs, rhs in window_scan(spec, k, alpha, expo, m_min, _LINEAR_M_CAP):
+        if upper(lhs) < lower(rhs):
             return M
 
     bound = upper(ipow(spec.tail_sum(k), expo))
@@ -225,12 +193,38 @@ def _minimal_violation_window(
     def hit(M: int) -> bool:
         return lower(spec.power_sum(alpha, k, k + M)) > bound
 
-    return _first_true(
+    return rigor.first_true(
         hit,
         _LINEAR_M_CAP + 1,
         _INDEX_CAP,
         NoViolationError(f"no certified violation up to the search cap at offset {k}"),
     )
+
+
+def _certify_level(
+    qvec: QVectorSpec, alpha: Fraction, delta: Fraction, L: Fraction,
+    n: int, eps_n: Fraction, k: int, M: int, prefix_pow: Num,
+) -> tuple[CantorLevel, Num]:
+    """Certify level n's window [k, k+M] and enclose its gamma_n.
+
+    Checks the eps_n tail budget, the violation witness and the union-block
+    volume cap against ``prefix_pow``, the product of the earlier levels'
+    window power sums at delta/2; returns the level and that product
+    extended by this level.
+    """
+    half = delta / 2
+    if upper(qvec.tail_sum(k)) > eps_n:
+        raise BudgetInfeasibleError(f"tail mass at {k} exceeds eps_{n} = {eps_n}")
+    mass = qvec.range_sum(k, k + M)
+    gamma = qvec.power_sum(alpha, k, k + M)
+    if not upper(ipow(mass, alpha - delta)) < lower(gamma):
+        raise NoViolationError(
+            f"window ({k}, {M}) does not certify a violation at level {n}"
+        )
+    if upper(ipow(mass, half) * prefix_pow) > L:
+        raise BudgetInfeasibleError(f"union-block volume exceeds L at level {n}")
+    level = CantorLevel(k, M, lower(gamma), upper(gamma), eps_n)
+    return level, prefix_pow * qvec.power_sum(half, k, k + M)
 
 
 def build_cantor(
@@ -248,10 +242,10 @@ def build_cantor(
 
     Level n chooses the minimal k_n > N with tail mass at most eps_n and
     tail^(delta/2) times the accumulated window power-sums at most L,
-    then the minimal violating window length M_n > N, then encloses
-    gamma_n.  Each level's choices depend on all earlier ones only
-    through a scalar product, so depth is limited by index growth rather
-    than address counts.
+    then a violating window length M_n > N (minimal only up to the linear
+    cap), then certifies the level as :func:`assemble_cantor` does.  Each
+    level's choices depend on all earlier ones only through a scalar
+    product, so depth is limited by index growth rather than address counts.
     """
     alpha, delta, L, eps_first = (
         Fraction(alpha),
@@ -276,7 +270,7 @@ def build_cantor(
                     return False
                 return upper(ipow(tail, half) * prefix_pow) <= L
 
-            k_n = _first_true(
+            k_n = rigor.first_true(
                 admissible,
                 N + 1,
                 _INDEX_CAP,
@@ -285,11 +279,10 @@ def build_cantor(
                 ),
             )
             m_n = _minimal_violation_window(qvec, alpha, delta, k_n, N)
-            gamma = qvec.power_sum(alpha, k_n, k_n + m_n)
-            levels.append(
-                CantorLevel(k_n, m_n, lower(gamma), upper(gamma), eps_n)
+            level, prefix_pow = _certify_level(
+                qvec, alpha, delta, L, n, eps_n, k_n, m_n, prefix_pow
             )
-            prefix_pow = prefix_pow * qvec.power_sum(half, k_n, k_n + m_n)
+            levels.append(level)
     return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
 
 
@@ -313,30 +306,15 @@ def assemble_cantor(
         Fraction(L),
         Fraction(eps_first),
     )
-    expo = alpha - delta
-    half = delta / 2
     levels: list[CantorLevel] = []
     with workprec(prec):
         prefix_pow = to_iv(1)
         for n, (k, M) in enumerate(level_indices, 1):
             eps_n = eps_first / 2 ** (n - 1)
-            tail = qvec.tail_sum(k)
-            if upper(tail) > eps_n:
-                raise BudgetInfeasibleError(
-                    f"tail mass at {k} exceeds eps_{n} = {eps_n}"
-                )
-            mass = qvec.range_sum(k, k + M)
-            gamma = qvec.power_sum(alpha, k, k + M)
-            if not upper(ipow(mass, expo)) < lower(gamma):
-                raise NoViolationError(
-                    f"window ({k}, {M}) does not certify a violation at level {n}"
-                )
-            if upper(ipow(mass, half) * prefix_pow) > L:
-                raise BudgetInfeasibleError(
-                    f"union-block volume exceeds L at level {n}"
-                )
-            levels.append(CantorLevel(k, M, lower(gamma), upper(gamma), eps_n))
-            prefix_pow = prefix_pow * qvec.power_sum(half, k, k + M)
+            level, prefix_pow = _certify_level(
+                qvec, alpha, delta, L, n, eps_n, k, M, prefix_pow
+            )
+            levels.append(level)
     return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
 
 

@@ -321,8 +321,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=rigor.DEFAULT_PREC,
                      help="first rung of the start/2x/4x precision ladder "
                      "(default %(default)s)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized checks (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -422,6 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("selftest", help="run the invariant battery on a q-vector")
     p.add_argument("--qvec", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized checks (default 0)")
     _add_common(p)
     p.set_defaults(handler=_cmd_selftest)
 

@@ -176,7 +176,10 @@ class Lemma1Partition:
         if not 0 < self.alpha <= 1:
             raise ParameterRangeError("alpha must lie in (0, 1]")
         self._half_alpha_factor = 1 - ipow(Fraction(1, 2), self.alpha)
-        n1 = self._find_head_boundary()
+        n1 = rigor.first_true(
+            self._head_condition, 0, cap,
+            CapacityError("no head boundary found below the iteration cap"),
+        )
         self._bounds: list[int] = [n1]
         # the halving targets are anchored at a fixed rational upper bound
         self.tail_at_head: Fraction = upper(stream.tail(n1))
@@ -192,41 +195,6 @@ class Lemma1Partition:
         rhs = ipow(head, self.alpha)
         return upper(lhs) <= lower(rhs)
 
-    def _find_head_boundary(self) -> int:
-        if self._head_condition(0):
-            return 0
-        hi = 1
-        while not self._head_condition(hi):
-            hi *= 2
-            if hi > self.cap:
-                raise CapacityError("no head boundary found below the iteration cap")
-        lo = hi // 2  # condition false at lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._head_condition(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def _find_next(self, prev: int, target: Fraction) -> int:
-        if upper(self.stream.tail(prev + 1)) <= target:
-            return prev + 1
-        step, hi = 1, prev + 1
-        while upper(self.stream.tail(hi)) > target:
-            step *= 2
-            hi = prev + step
-            if hi > self.cap:
-                raise CapacityError("no halving boundary found below the iteration cap")
-        lo = max(prev + 1, hi - step // 2)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if upper(self.stream.tail(mid)) <= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     def boundary(self, k: int) -> int:
         """n_k for k >= 1."""
         if k < 1:
@@ -234,7 +202,10 @@ class Lemma1Partition:
         while len(self._bounds) < k:
             m = len(self._bounds)  # computing n_{m+1}
             target = self.tail_at_head * Fraction(1, 2**m)
-            self._bounds.append(self._find_next(self._bounds[-1], target))
+            self._bounds.append(rigor.first_true(
+                lambda n: upper(self.stream.tail(n)) <= target, self._bounds[-1] + 1, self.cap,
+                CapacityError("no halving boundary found below the iteration cap"),
+            ))
         return self._bounds[k - 1]
 
     # -- groups ----------------------------------------------------------
@@ -469,7 +440,7 @@ def _cover_once(
         # b closes the located cylinder, so the right part is a full tail
         jobs.append(_TailJob(0, prefix, beta1 + 1))
     else:
-        assert isinstance(b, QRational)
+        # b is a QRational: UNIT_END gets the empty prefix, whose right end is UNIT_END
         e_digit = b.digit_at(n)
         below = b.digits[n + 1 :]
         if not below:
@@ -547,7 +518,10 @@ def _cover_once(
             ordered.extend(blks)
     finite_blocks = _merge_adjacent(ordered)
 
-    vol = vol + alpha_volume(spec, finite_blocks, params.alpha)
+    # an interval inside the residual budget can leave no finite blocks, and
+    # an exact spec's empty alpha_volume is a Fraction, which iv cannot add
+    if finite_blocks:
+        vol = vol + alpha_volume(spec, finite_blocks, params.alpha)
     for res_lo, res_hi in residuals:
         vol = vol + ipow(res_hi - res_lo, params.alpha)
 

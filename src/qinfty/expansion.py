@@ -12,6 +12,7 @@ family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -19,6 +20,7 @@ from typing import Iterable, Union
 from . import rigor
 from .errors import (
     BoundaryAmbiguityError,
+    CapacityError,
     InvalidIntervalError,
     ParameterRangeError,
 )
@@ -212,19 +214,13 @@ def _encode_once(spec: QVectorSpec, x: Fraction, depth: int) -> tuple[int, ...]:
     digits = []
     cur = spec.num(x)
     for pos in range(depth):
-        hi = 1
-        while le_head(pos, hi, cur):
-            hi *= 2
-        lo = hi // 2
-        # invariant: head_sum(lo) <= cur < head_sum(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if le_head(pos, mid, cur):
-                lo = mid
-            else:
-                hi = mid
-        digits.append(lo)
-        cur = (cur - spec.head_sum(lo)) / spec.q(lo)
+        # the least d whose successor cylinder starts above cur; head_sum
+        # climbs to 1 > cur (or a comparison turns undecided), so it ends
+        d = rigor.first_true(
+            lambda d: not le_head(pos, d + 1, cur), 0, math.inf, CapacityError("no digit")
+        )
+        digits.append(d)
+        cur = (cur - spec.head_sum(d)) / spec.q(d)
     return tuple(digits)
 
 

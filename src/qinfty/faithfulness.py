@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import rigor
 from .errors import CapacityError, ParameterRangeError, QinftyError
@@ -127,6 +127,39 @@ def _certify_divergent_limit(
     raise CapacityError("divergent power tail failed to overtake the left side")
 
 
+def window_scan(
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int, m_max: int
+) -> Iterator[tuple[int, Num, Num]]:
+    """Cells (M, lhs, rhs) of the windows [k, k+M] for m_min <= M <= m_max.
+
+    lhs encloses (sum q_i)^expo and rhs encloses sum q_i^alpha over the
+    window; both sums grow by one term per step instead of being re-summed.
+    """
+    mass = spec.range_sum(k, k + m_min)
+    rhs = spec.power_sum(alpha, k, k + m_min)
+    for M in range(m_min, m_max + 1):
+        if M > m_min:
+            q = spec.q(k + M)
+            mass = mass + q
+            rhs = rhs + ipow(q, alpha)
+        yield M, ipow(mass, expo), rhs
+
+
+def window_fast_margin(
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int
+) -> Optional[Fraction]:
+    """Margin certified for every window [k, k+M] with M >= m_min at once.
+
+    Both sides grow with M, so lower(lhs at m_min) - upper(rhs of the whole
+    tail), when nonnegative, bounds every such cell's margin, the limit cell
+    included.  None when that gap is negative or the power tail diverges.
+    """
+    if not spec.power_tail_converges(alpha):
+        return None
+    margin = lower(_lhs(spec, k, m_min, expo)) - upper(_rhs(spec, k, None, alpha))
+    return margin if margin >= 0 else None
+
+
 def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fraction]:
     """Certified min margin for row n, None if some cell stays undecided.
 
@@ -135,25 +168,13 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     """
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
-    converges = spec.power_tail_converges(alpha)
-
-    if converges:
-        lhs_min = _lhs(spec, n, m_min, expo)
-        rhs_inf = _rhs(spec, n, None, alpha)
-        fast_margin = lower(lhs_min) - upper(rhs_inf)
-        if fast_margin >= 0:
-            return fast_margin
+    fast_margin = window_fast_margin(spec, n, alpha, expo, m_min)
+    if fast_margin is not None:
+        return fast_margin
 
     margin: Optional[Fraction] = None
     undecided = False
-    mass = spec.range_sum(n, n + m_min)
-    rhs = spec.power_sum(alpha, n, n + m_min)
-    for M in range(m_min, query.M_max + 1):
-        if M > m_min:
-            q = spec.q(n + M)
-            mass = mass + q
-            rhs = rhs + ipow(q, alpha)
-        lhs = ipow(mass, expo)
+    for M, lhs, rhs in window_scan(spec, n, alpha, expo, m_min, query.M_max):
         if upper(lhs) < lower(rhs):
             raise _Violation(n, M, upper(lhs), lower(rhs))
         cell = lower(lhs) - upper(rhs)
@@ -163,7 +184,7 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
             margin = cell
 
     lhs_inf = _lhs(spec, n, None, expo)
-    if converges:
+    if spec.power_tail_converges(alpha):
         rhs_inf = _rhs(spec, n, None, alpha)
         if upper(lhs_inf) < lower(rhs_inf):
             raise _Violation(n, None, upper(lhs_inf), lower(rhs_inf))

@@ -164,17 +164,11 @@ class QVectorSpec:
 
     def max_weight(self) -> Num:
         """The largest weight; found by the tail-cutoff scan."""
-        return self._max_weight_scan()[0]
-
-    def _max_weight_scan(self) -> tuple[Num, int]:
         best = self.q(0)
-        i = 1
-        while i <= _MAX_SCAN:
-            t = self.tail_sum(i)
-            if rigor.lt_certain(t, best):
-                return best, i
+        for i in range(1, _MAX_SCAN + 1):
+            if rigor.decide_lt(self.tail_sum(i), best) is True:
+                return best
             best = max_num(best, self.q(i))
-            i += 1
         raise CapacityError("max_weight scan exceeded its iteration cap")
 
     # -- power sums ----------------------------------------------------

@@ -20,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, floor
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from mpmath import iv, mp
 
@@ -44,6 +44,34 @@ _B10 = Fraction(5, 66)
 def ladder(start: int) -> tuple[int, int, int]:
     """Working precisions an escalating search tries in order: start, 2x, 4x."""
     return (start, 2 * start, 4 * start)
+
+
+def first_true(pred: Callable[[int], bool], start: int, cap: float, fail: Exception) -> int:
+    """Least index >= start where the monotone predicate holds.
+
+    Gallops upward from ``start`` in doubling steps, then bisects the last
+    step.  ``pred`` is never called above ``cap``; ``fail`` is raised when
+    it holds nowhere up to ``cap``.  Pass ``math.inf`` as ``cap`` for a
+    search that is known to end.
+    """
+    if pred(start):
+        return start
+    lo, step = start, 1
+    while True:
+        hi = lo + step
+        if hi > cap:
+            raise fail
+        if pred(hi):
+            break
+        lo, step = hi, 2 * step
+    # invariant: pred(lo) is false and pred(hi) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @contextmanager
@@ -141,14 +169,6 @@ def decide_lt(x: Num, y: Num) -> Optional[bool]:
     if xl >= yu:
         return False
     return None
-
-
-def le_certain(x: Num, y: Num) -> bool:
-    return decide_le(x, y) is True
-
-
-def lt_certain(x: Num, y: Num) -> bool:
-    return decide_lt(x, y) is True
 
 
 def contains_value(x: Num, v: Fraction) -> bool:

@@ -143,6 +143,15 @@ def test_depth3_level_invariants():
     assert spec.levels[1].k > 10**11 and spec.levels[2].k > spec.levels[1].k
 
 
+def test_built_levels_pass_assembly():
+    # the build certifies each level as assemble_cantor does, so
+    # re-assembling its (k, M) pairs reproduces the spec exactly
+    spec = built3()
+    pairs = [(lvl.k, lvl.M) for lvl in spec.levels]
+    again = assemble_cantor(PL2, ALPHA, DELTA, HALF_L, Fraction(1, 1000), 10, pairs)
+    assert again == spec
+
+
 def test_levels_json_roundtrip():
     for spec in (toy(), built3()):
         doc = spec.to_json()

@@ -206,6 +206,13 @@ def test_selftest_interval_mode_family(qvec_files, capsys):
     assert "0 failed" in capsys.readouterr().out
 
 
+def test_seed_only_on_selftest(qvec_files, capsys):
+    assert main(["encode", "--qvec", qvec_files["luroth"], "--x", "1/2",
+                 "--depth", "3", "--seed", "3"]) == 1
+    assert main(["selftest", "--qvec", qvec_files["geometric"], "--seed", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_errors_exit_one(qvec_files, tmp_path, capsys):
     rc = main(["encode", "--qvec", str(tmp_path / "nope.json"),
                "--x", "1/2", "--depth", "3"])

@@ -225,6 +225,17 @@ def test_cover_until_cylinder_right_end():
     assert cert.blocks[0].first == 2
 
 
+def test_cover_with_residuals_only():
+    # the whole interval fits the residual budget, so no finite block remains
+    a, b = QRational.of((5, 5, 4, 4, 4)), QRational.of((5, 5, 5))
+    for params in (HALF_PARAMS, CoverParams(Fraction(4, 5), Fraction(1, 10), Fraction(1, 10**6))):
+        cert = cover_interval(GEO, a, b, params)
+        assert cert.blocks == ()
+        assert cert.residual_total_upper() <= params.eps_res
+        assert cert.alpha_volume_upper <= cert.bound_rhs
+        assert _coverage_exact(GEO, cert, a, b)
+
+
 def test_cover_rejects_reversed_interval():
     from qinfty.errors import InvalidIntervalError
 

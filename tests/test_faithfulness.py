@@ -24,6 +24,8 @@ from qinfty.faithfulness import (
     ConditionVerdict,
     check_condition,
     scan_condition_region,
+    window_fast_margin,
+    window_scan,
 )
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import ipow, lower, upper, workprec
@@ -260,3 +262,29 @@ def test_margins_monotone_diagnostics():
     for prev, cur in zip(rows, rows[1:]):
         assert cur.lhs_lower >= prev.lhs_lower
         assert cur.rhs_upper >= prev.rhs_upper
+
+
+@pytest.mark.parametrize("spec", [LUR, PL2], ids=["luroth", "powerlaw2"])
+@pytest.mark.parametrize("n, m_min, m_max", [(1, 1, 6), (12, 11, 40), (700, 3, 30)])
+def test_window_scan_cells_overlap_closed_forms(spec, n, m_min, m_max):
+    alpha, expo = Fraction(2, 5), Fraction(3, 10)
+    with workprec(96):
+        cells = list(window_scan(spec, n, alpha, expo, m_min, m_max))
+        assert [M for M, _, _ in cells] == list(range(m_min, m_max + 1))
+        for M, lhs, rhs in cells:
+            lhs_closed = ipow(spec.range_sum(n, n + M), expo)
+            rhs_closed = spec.power_sum(alpha, n, n + M)
+            assert lower(lhs) <= upper(lhs_closed) and lower(lhs_closed) <= upper(lhs)
+            assert lower(rhs) <= upper(rhs_closed) and lower(rhs_closed) <= upper(rhs)
+
+
+def test_window_fast_margin():
+    with workprec(96):
+        # sum q_i^(1/2) diverges for Luroth
+        assert window_fast_margin(LUR, 5, ALPHA_HALF, Fraction(2, 5), 3) is None
+        # converges, but the window [1, 2] violates (test_geometric_violated_at_small_n)
+        assert window_fast_margin(GEO, 1, ALPHA_HALF, Fraction(2, 5), 1) is None
+        fast = window_fast_margin(GEO, 40, ALPHA_HALF, Fraction(2, 5), 21)
+        lhs = ipow(GEO.range_sum(40, 61), Fraction(2, 5))
+        assert fast == lower(lhs) - upper(GEO.power_sum(ALPHA_HALF, 40))
+        assert fast > 0

@@ -203,3 +203,39 @@ def test_powsum_empty_range_is_zero():
     with workprec(96):
         x = powsum(Fraction(2), Fraction(0), 5, 4)
         assert lower(x) == 0 == upper(x)
+
+
+class _Missing(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "start, t",
+    [(s, t) for t in (0, 1, 2, 3, 5, 8, 13, 100) for s in (0, 1, 2, 3, 7, 40) if s <= t],
+)
+def test_first_true_finds_threshold(start, t):
+    calls = []
+
+    def pred(i):
+        calls.append(i)
+        return i >= t
+
+    assert rigor.first_true(pred, start, 10**6, _Missing()) == t
+    assert min(calls) >= start
+
+
+@pytest.mark.parametrize(
+    "start, cap", [(s, c) for c in (0, 1, 4, 9, 64) for s in (0, 1, 3) if s <= c]
+)
+def test_first_true_raises_the_given_fail_and_stays_below_cap(start, cap):
+    fail = _Missing("nothing up to the cap")
+    calls = []
+
+    def pred(i):
+        calls.append(i)
+        return i >= cap + 1
+
+    with pytest.raises(_Missing) as exc:
+        rigor.first_true(pred, start, cap, fail)
+    assert exc.value is fail
+    assert max(calls) <= cap
