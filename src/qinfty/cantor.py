@@ -195,7 +195,7 @@ def _minimal_violation_window(
 
     return rigor.first_true(
         hit,
-        _LINEAR_M_CAP + 1,
+        max(m_min, _LINEAR_M_CAP + 1),
         _INDEX_CAP,
         NoViolationError(f"no certified violation up to the search cap at offset {k}"),
     )

@@ -166,13 +166,16 @@ class Lemma1Partition:
 
     holds with directed rounding, and later boundaries halve the tail
     target, so sum_{m>=1} (group m mass)^alpha is certified to stay below
-    the head group's alpha-power.  Boundaries extend lazily on demand.
+    the head group's alpha-power.  Boundaries extend lazily on demand, always
+    at the working precision the partition was built at, so they depend on
+    (stream, alpha, cap, precision) alone and a partition can be shared.
     """
 
     def __init__(self, stream: TailStream, alpha: Fraction, cap: int = _SEARCH_CAP):
         self.stream = stream
         self.alpha = Fraction(alpha)
         self.cap = cap
+        self.prec = iv.prec
         if not 0 < self.alpha <= 1:
             raise ParameterRangeError("alpha must lie in (0, 1]")
         self._half_alpha_factor = 1 - ipow(Fraction(1, 2), self.alpha)
@@ -199,13 +202,16 @@ class Lemma1Partition:
         """n_k for k >= 1."""
         if k < 1:
             raise ParameterRangeError("boundaries are indexed from 1")
-        while len(self._bounds) < k:
-            m = len(self._bounds)  # computing n_{m+1}
-            target = self.tail_at_head * Fraction(1, 2**m)
-            self._bounds.append(rigor.first_true(
-                lambda n: upper(self.stream.tail(n)) <= target, self._bounds[-1] + 1, self.cap,
-                CapacityError("no halving boundary found below the iteration cap"),
-            ))
+        if len(self._bounds) < k:
+            with workprec(self.prec):
+                while len(self._bounds) < k:
+                    m = len(self._bounds)  # computing n_{m+1}
+                    target = self.tail_at_head * Fraction(1, 2**m)
+                    self._bounds.append(rigor.first_true(
+                        lambda n: upper(self.stream.tail(n)) <= target,
+                        self._bounds[-1] + 1, self.cap,
+                        CapacityError("no halving boundary found below the iteration cap"),
+                    ))
         return self._bounds[k - 1]
 
     # -- groups ----------------------------------------------------------
@@ -236,6 +242,13 @@ class Lemma1Partition:
 
 def lemma1_partition(stream: TailStream, alpha: Fraction, cap: int = _SEARCH_CAP) -> Lemma1Partition:
     return Lemma1Partition(stream, alpha, cap)
+
+
+@lru_cache(maxsize=256)
+def _tail_partition(spec: QVectorSpec, offset: int, alpha: Fraction, prec: int) -> Lemma1Partition:
+    """The partition of spec's weights from index ``offset`` on, shared by
+    every cover that needs it; ``prec`` must be the current ``iv.prec``."""
+    return lemma1_partition(TailStream.from_qvector(spec, offset), alpha)
 
 
 # --- the covering constant ----------------------------------------------------
@@ -468,10 +481,9 @@ def _cover_once(
 
     lazy = params.mode == MODE_LAZY_STREAM
     budget = params.eps_res / ell
-    partitions: list[tuple[_TailJob, Lemma1Partition]] = []
-    for job in jobs:
-        stream = TailStream.from_qvector(spec, job.start_digit)
-        partitions.append((job, lemma1_partition(stream, params.alpha)))
+    partitions = [
+        (job, _tail_partition(spec, job.start_digit, params.alpha, iv.prec)) for job in jobs
+    ]
 
     residuals: list[tuple[Fraction, Fraction]] = []
     rank_heads: list[tuple[int, Block]] = []

@@ -30,7 +30,7 @@ _MAX_SCAN = 10**6
 _LUR_DIRECT = 600
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _zeta_enclosure(m0: Fraction, prec: int):
     return powsum(m0, Fraction(0), 1, None)
 

@@ -17,8 +17,10 @@ cost of parallel speedup.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, floor
 from typing import Callable, Optional, Union
 
@@ -226,7 +228,9 @@ def num_to_json(x: Num):
 # first omitted term, which we widen symmetrically.
 # ---------------------------------------------------------------------------
 
-_cum_cache: dict[tuple, list] = {}
+# Prefix sums per (p, offset, precision), least recently used evicted first.
+_CUM_CACHE_KEYS = 64
+_cum_cache: OrderedDict[tuple, list] = OrderedDict()
 
 
 def _rising(p_iv, m: int):
@@ -255,6 +259,9 @@ def _cum(p: Fraction, o: Fraction, j: int) -> "iv.mpf":
     key = (p, o, iv.prec)
     with _LOCK:
         arr = _cum_cache.setdefault(key, [])
+        _cum_cache.move_to_end(key)
+        if len(_cum_cache) > _CUM_CACHE_KEYS:
+            _cum_cache.popitem(last=False)
         p_iv = to_iv(p)
         while len(arr) <= j - start:
             t = start + len(arr)
@@ -273,34 +280,38 @@ def _cached_range(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
     return hi - _cum(p, o, a - 1)
 
 
-def _em_core(p: Fraction, o: Fraction, a: int, b: Optional[int]) -> "iv.mpf":
+@lru_cache(maxsize=64)
+def _em_constants(p: Fraction, prec: int):
+    """p's enclosure and the Euler-Maclaurin factors of x^(-p) at ``prec``
+    (the current ``iv.prec``): (coefficient * rising factorial, exponent)
+    for each B_2k term and for the remainder."""
     p_iv = to_iv(p)
+    terms = tuple(
+        (to_iv(Fraction(b2k, factorial(2 * k))) * _rising(p_iv, 2 * k - 1), -p_iv - (2 * k - 1))
+        for k, b2k in enumerate(_B2K, start=1)
+    )
+    rem = (to_iv(abs(Fraction(_B10, factorial(10)))) * _rising(p_iv, 9), -p_iv - 9)
+    return p_iv, terms, rem
+
+
+def _em_core(p: Fraction, o: Fraction, a: int, b: Optional[int]) -> "iv.mpf":
+    p_iv, terms, (rem_c, rem_e) = _em_constants(p, iv.prec)
     xa = to_iv(a + o)
     if b is None:
         integral = xa ** (1 - p_iv) / (p_iv - 1)
         s = integral + xa ** (-p_iv) / 2
-        for k, b2k in enumerate(_B2K, start=1):
-            coeff = Fraction(b2k, factorial(2 * k))
-            s = s + to_iv(coeff) * _rising(p_iv, 2 * k - 1) * xa ** (-p_iv - (2 * k - 1))
-        rem = to_iv(abs(Fraction(_B10, factorial(10)))) * _rising(p_iv, 9) * xa ** (-p_iv - 9)
-        return plus_minus(s, rem)
+        for c, e in terms:
+            s = s + c * xa ** e
+        return plus_minus(s, rem_c * xa ** rem_e)
     xb = to_iv(b + o)
     if p == 1:
         integral = iv.log(xb / xa)
     else:
         integral = (xa ** (1 - p_iv) - xb ** (1 - p_iv)) / (p_iv - 1)
     s = integral + (xa ** (-p_iv) + xb ** (-p_iv)) / 2
-    for k, b2k in enumerate(_B2K, start=1):
-        coeff = Fraction(b2k, factorial(2 * k))
-        s = s + to_iv(coeff) * _rising(p_iv, 2 * k - 1) * (
-            xa ** (-p_iv - (2 * k - 1)) - xb ** (-p_iv - (2 * k - 1))
-        )
-    rem = (
-        to_iv(abs(Fraction(_B10, factorial(10))))
-        * _rising(p_iv, 9)
-        * (xa ** (-p_iv - 9) + xb ** (-p_iv - 9))
-    )
-    return plus_minus(s, rem)
+    for c, e in terms:
+        s = s + c * (xa ** e - xb ** e)
+    return plus_minus(s, rem_c * (xa ** rem_e + xb ** rem_e))
 
 
 def powsum(p: Fraction, offset: Fraction, a: int, b: Optional[int] = None) -> "iv.mpf":

@@ -123,6 +123,12 @@ def test_m1_minimal_by_direct_summation():
         assert upper(vio) < lower(PL2.power_sum(ALPHA, k1, k1 + m1))
 
 
+def test_window_search_past_linear_cap_starts_above_n():
+    # N above the linear scan's cap: the search must still return M > N
+    spec = build_cantor(PL2, ALPHA, DELTA, HALF_L, N=5000)
+    assert [(lvl.k, lvl.M) for lvl in spec.levels] == [(5001, 5001)]
+
+
 def test_depth3_level_invariants():
     spec = built3()
     assert spec.depth == 3

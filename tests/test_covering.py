@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qinfty import covering
 from qinfty.covering import (
     Block,
     CoverParams,
@@ -358,3 +359,37 @@ def test_cover_deterministic():
     c2 = cover_interval(GEO, a, b, HALF_PARAMS)
     assert c1.blocks == c2.blocks
     assert c1.alpha_volume_upper == c2.alpha_volume_upper
+
+
+@pytest.mark.parametrize(
+    "spec, a, b",
+    [
+        (LUR, (1, 2, 3), (2, 1)),
+        (LUR, (0, 0, 5), UNIT_END),
+        (PL2, (1, 2), (2, 1)),
+        (PL2, (0, 3, 1), (1,)),
+    ],
+)
+def test_cover_same_with_cold_and_warm_partition_memo(spec, a, b):
+    a = QRational.of(a)
+    b = b if b is UNIT_END else QRational.of(b)
+    covering._tail_partition.cache_clear()
+    cold = cover_interval(spec, a, b, HALF_PARAMS).to_json()
+    warm = cover_interval(spec, a, b, HALF_PARAMS).to_json()
+    assert covering._tail_partition.cache_info().hits > 0
+    assert warm == cold
+
+
+def _third_halving_stream() -> TailStream:
+    # upper(1/3) depends on the working precision, so every halving
+    # boundary moves when it is searched at a coarser precision
+    return TailStream(lambda n: to_iv(Fraction(1, 3)) / 2 ** (n + 1))
+
+
+def test_partition_boundaries_pinned_to_build_precision():
+    with workprec(96):
+        inside = lemma1_partition(_third_halving_stream(), Fraction(1, 2))
+        ambient = lemma1_partition(_third_halving_stream(), Fraction(1, 2))
+        expected = [inside.boundary(k) for k in range(1, 9)]
+    assert ambient.prec == 96
+    assert [ambient.boundary(k) for k in range(1, 9)] == expected

@@ -239,3 +239,70 @@ def test_first_true_raises_the_given_fail_and_stays_below_cap(start, cap):
         rigor.first_true(pred, start, cap, fail)
     assert exc.value is fail
     assert max(calls) <= cap
+
+
+def _em_core_reference(p: Fraction, o: Fraction, a: int, b):
+    """Euler-Maclaurin bracket with every constant recomputed per call."""
+    from math import factorial
+
+    p_iv = to_iv(p)
+    xa = to_iv(a + o)
+    b10 = to_iv(abs(Fraction(rigor._B10, factorial(10)))) * rigor._rising(p_iv, 9)
+    if b is None:
+        s = xa ** (1 - p_iv) / (p_iv - 1) + xa ** (-p_iv) / 2
+        for k, b2k in enumerate(rigor._B2K, start=1):
+            coeff = Fraction(b2k, factorial(2 * k))
+            s = s + to_iv(coeff) * rigor._rising(p_iv, 2 * k - 1) * xa ** (-p_iv - (2 * k - 1))
+        return plus_minus(s, b10 * xa ** (-p_iv - 9))
+    xb = to_iv(b + o)
+    if p == 1:
+        integral = iv.log(xb / xa)
+    else:
+        integral = (xa ** (1 - p_iv) - xb ** (1 - p_iv)) / (p_iv - 1)
+    s = integral + (xa ** (-p_iv) + xb ** (-p_iv)) / 2
+    for k, b2k in enumerate(rigor._B2K, start=1):
+        coeff = Fraction(b2k, factorial(2 * k))
+        s = s + to_iv(coeff) * rigor._rising(p_iv, 2 * k - 1) * (
+            xa ** (-p_iv - (2 * k - 1)) - xb ** (-p_iv - (2 * k - 1))
+        )
+    return plus_minus(s, b10 * (xa ** (-p_iv - 9) + xb ** (-p_iv - 9)))
+
+
+@pytest.mark.parametrize("bits", [53, 96, 192])
+@pytest.mark.parametrize(
+    "p, o, a, b",
+    [
+        (Fraction(2), Fraction(0), 2048, None),
+        (Fraction(4, 5), Fraction(1, 3), 5000, 10**9),
+        (Fraction(1), Fraction(0), 2048, 10**6),
+        (Fraction(3, 2), Fraction(7), 10**12, None),
+    ],
+)
+def test_em_core_with_cached_constants_is_bit_identical(bits, p, o, a, b):
+    with workprec(bits):
+        assert rigor._em_core(p, o, a, b)._mpi_ == _em_core_reference(p, o, a, b)._mpi_
+
+
+def test_cum_cache_keeps_at_most_its_key_bound():
+    p = Fraction(2)
+    offsets = [Fraction(i, 7) for i in range(rigor._CUM_CACHE_KEYS + 10)]
+    with workprec(96):
+        first = rigor._cum(p, offsets[0], 5)
+        for o in offsets:
+            rigor._cum(p, o, 5)
+            assert len(rigor._cum_cache) <= rigor._CUM_CACHE_KEYS
+        assert (p, offsets[0], 96) not in rigor._cum_cache
+        # an evicted prefix is rebuilt to the same enclosure
+        assert rigor._cum(p, offsets[0], 5)._mpi_ == first._mpi_
+
+
+def test_memo_caches_are_bounded():
+    from qinfty import covering, qvector
+
+    for cached in (
+        rigor._em_constants,
+        qvector._zeta_enclosure,
+        covering._kappa_cached,
+        covering._tail_partition,
+    ):
+        assert cached.cache_info().maxsize is not None
