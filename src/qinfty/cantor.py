@@ -185,7 +185,7 @@ def _minimal_violation_window(
             f"inequality certifiably holds for every window at offset {k}"
         )
     for M, lhs, rhs in window_scan(spec, k, alpha, expo, m_min, _LINEAR_M_CAP):
-        if upper(lhs) < lower(rhs):
+        if rigor.decide_lt(lhs, rhs):
             return M
 
     bound = upper(ipow(spec.tail_sum(k), expo))

@@ -622,16 +622,23 @@ def cover_interval(
     digit of a, partitioning each rank's tail greedily.
 
     The volume bound is certified on the first rung of
-    ``rigor.ladder(prec)`` where it separates; CapacityError when none does.
+    ``rigor.ladder(prec)`` where it separates.  A CapacityError below the
+    top rung (a search that hit its cap, or an enclosure too wide) moves to
+    the next rung as well; on the top rung it propagates, and CapacityError
+    is raised when no rung separates.
     """
     if not isinstance(a, QRational):
         raise InvalidIntervalError("left endpoint must be a digit-string rational")
     if b is not UNIT_END and not isinstance(b, QRational):
         raise InvalidIntervalError("right endpoint must be a digit-string rational or the unit end")
-    for bits in rigor.ladder(prec):
+    rungs = rigor.ladder(prec)
+    for bits in rungs:
         with workprec(bits):
             try:
                 return _cover_once(spec, a, b, params)
             except _RetryPrecision:
                 continue
+            except CapacityError:
+                if bits == rungs[-1]:
+                    raise
     raise CapacityError("could not certify the covering volume bound on the precision ladder")

@@ -156,8 +156,8 @@ def window_fast_margin(
     """
     if not spec.power_tail_converges(alpha):
         return None
-    margin = lower(_lhs(spec, k, m_min, expo)) - upper(_rhs(spec, k, None, alpha))
-    return margin if margin >= 0 else None
+    margin = rigor.gap(_lhs(spec, k, m_min, expo), _rhs(spec, k, None, alpha))
+    return rigor.frac_of_mpf(margin) if margin >= 0 else None
 
 
 def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fraction]:
@@ -172,12 +172,14 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     if fast_margin is not None:
         return fast_margin
 
-    margin: Optional[Fraction] = None
+    # cells compare and subtract on exact mpf endpoints; the row minimum
+    # becomes a Fraction once, and a violation's bounds only when it is found
+    margin = None
     undecided = False
     for M, lhs, rhs in window_scan(spec, n, alpha, expo, m_min, query.M_max):
-        if upper(lhs) < lower(rhs):
+        if rigor.decide_lt(lhs, rhs):
             raise _Violation(n, M, upper(lhs), lower(rhs))
-        cell = lower(lhs) - upper(rhs)
+        cell = rigor.gap(lhs, rhs)
         if cell < 0:
             undecided = True
         elif margin is None or cell < margin:
@@ -186,9 +188,9 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     lhs_inf = _lhs(spec, n, None, expo)
     if spec.power_tail_converges(alpha):
         rhs_inf = _rhs(spec, n, None, alpha)
-        if upper(lhs_inf) < lower(rhs_inf):
+        if rigor.decide_lt(lhs_inf, rhs_inf):
             raise _Violation(n, None, upper(lhs_inf), lower(rhs_inf))
-        cell = lower(lhs_inf) - upper(rhs_inf)
+        cell = rigor.gap(lhs_inf, rhs_inf)
         if cell < 0:
             undecided = True
         elif margin is None or cell < margin:
@@ -199,7 +201,7 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
     if undecided:
         return None
-    return margin
+    return rigor.frac_of_mpf(margin)
 
 
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:

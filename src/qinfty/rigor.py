@@ -6,7 +6,12 @@ enclosures (``mpmath.iv`` intervals) everywhere else.  This module owns the
 conversions between the two, certified comparisons, and the Euler-Maclaurin
 brackets for power sums over integer ranges.  Every enclosure produced here
 contains its true value regardless of working precision; precision only
-controls width.  When a certified decision needs a narrower enclosure,
+controls width.
+
+Enclosure endpoints are binary floats, which mpmath compares and subtracts
+exactly, so comparisons between two enclosures run on the raw endpoints;
+a ``Fraction`` is built only where a bound is reported or an exact value
+takes part.  When a certified decision needs a narrower enclosure,
 every escalating search climbs the same precision rungs, :func:`ladder`.
 
 mpmath's interval context is process-global, so all precision-sensitive
@@ -16,6 +21,7 @@ cost of parallel speedup.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -24,7 +30,7 @@ from functools import lru_cache
 from math import factorial, floor
 from typing import Callable, Optional, Union
 
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from .errors import CapacityError
 
@@ -97,13 +103,20 @@ def to_iv(x) -> "iv.mpf":
     return iv.mpf(x)
 
 
+def _frac(raw) -> Fraction:
+    """Exact rational value of a raw mpf (sign, man, exp, bc)."""
+    sign, man, exp, _ = raw
+    if not man:
+        if exp:
+            raise CapacityError(f"enclosure has an infinite or NaN endpoint at {iv.prec} bits")
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def frac_of_mpf(m) -> Fraction:
     """Exact rational value of an mpf (binary float, so always exact)."""
-    sign, man, exp, _ = m._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(int(man)) * Fraction(2) ** exp
-    return -val if sign else val
+    return _frac(m._mpf_)
 
 
 def endpoints(x: Num) -> tuple[Fraction, Fraction]:
@@ -111,7 +124,7 @@ def endpoints(x: Num) -> tuple[Fraction, Fraction]:
     if isinstance(x, Fraction):
         return x, x
     at, bt = x._mpi_
-    return frac_of_mpf(mp.make_mpf(at)), frac_of_mpf(mp.make_mpf(bt))
+    return _frac(at), _frac(bt)
 
 
 def lower(x: Num) -> Fraction:
@@ -151,26 +164,37 @@ def plus_minus(x: Num, err: Num) -> "iv.mpf":
     return to_iv(x) + hull(-e, e)
 
 
+def _ends(x: Num, y: Num):
+    """x's and y's endpoints with comparisons exact on them, (le, lt): raw
+    mpfs when both are enclosures, Fractions when either is exact."""
+    if isinstance(x, Fraction) or isinstance(y, Fraction):
+        return endpoints(x) + endpoints(y) + (operator.le, operator.lt)
+    return x._mpi_ + y._mpi_ + (libmp.mpf_le, libmp.mpf_lt)
+
+
 def decide_le(x: Num, y: Num) -> Optional[bool]:
     """True if x <= y certified, False if x > y certified, None otherwise."""
-    xl, xu = endpoints(x)
-    yl, yu = endpoints(y)
-    if xu <= yl:
+    xl, xu, yl, yu, le, lt = _ends(x, y)
+    if le(xu, yl):
         return True
-    if xl > yu:
+    if lt(yu, xl):
         return False
     return None
 
 
 def decide_lt(x: Num, y: Num) -> Optional[bool]:
     """True if x < y certified, False if x >= y certified, None otherwise."""
-    xl, xu = endpoints(x)
-    yl, yu = endpoints(y)
-    if xu < yl:
+    xl, xu, yl, yu, le, lt = _ends(x, y)
+    if lt(xu, yl):
         return True
-    if xl >= yu:
+    if le(yu, xl):
         return False
     return None
+
+
+def gap(x: "iv.mpf", y: "iv.mpf") -> "mp.mpf":
+    """lower(x) - upper(y) of two enclosures, exactly (no rounding)."""
+    return mp.make_mpf(libmp.mpf_sub(x._mpi_[0], y._mpi_[1], 0))
 
 
 def contains_value(x: Num, v: Fraction) -> bool:
@@ -178,12 +202,27 @@ def contains_value(x: Num, v: Fraction) -> bool:
     return a <= v <= b
 
 
+@lru_cache(maxsize=256)
+def _exponent(num: int, den: int, prec: int) -> "iv.mpf":
+    """Enclosure of num/den at ``prec``, which must be the current ``iv.prec``."""
+    return to_iv(Fraction(num, den))
+
+
 def ipow(base: Num, expo: Num) -> "iv.mpf":
-    """Rigorous base**expo for nonnegative base."""
+    """Rigorous base**expo for nonnegative base.
+
+    A fractional power of an enclosure reaching below zero is undefined
+    there, so it raises CapacityError: a higher precision may narrow the
+    base onto [0, inf).
+    """
     b = to_iv(base)
-    if isinstance(expo, Fraction) and expo.denominator == 1:
+    if isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1:
         return b ** int(expo)
-    return b ** to_iv(expo)
+    if isinstance(expo, Fraction):
+        expo = _exponent(expo.numerator, expo.denominator, iv.prec)
+    if libmp.mpf_sign(b._mpi_[0]) < 0:
+        raise CapacityError(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
+    return b ** expo
 
 
 def approx_str(x: Num, digits: int = 12) -> str:

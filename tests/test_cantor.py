@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qinfty import cantor, rigor
 from qinfty.cantor import (
     BLOCK_UNION,
     PHI_SPLIT,
@@ -127,6 +128,26 @@ def test_window_search_past_linear_cap_starts_above_n():
     # N above the linear scan's cap: the search must still return M > N
     spec = build_cantor(PL2, ALPHA, DELTA, HALF_L, N=5000)
     assert [(lvl.k, lvl.M) for lvl in spec.levels] == [(5001, 5001)]
+
+
+def _fraction_violation_window(spec, alpha, delta, k, N):
+    """cantor._minimal_violation_window as it ran before its linear scan
+    compared on raw mpf endpoints: a Fraction per endpoint of every cell."""
+    expo = alpha - delta
+    for M, lhs, rhs in cantor.window_scan(spec, k, alpha, expo, N + 1, cantor._LINEAR_M_CAP):
+        if upper(lhs) < lower(rhs):
+            return M
+    bound = upper(ipow(spec.tail_sum(k), expo))
+    return rigor.first_true(
+        lambda M: lower(spec.power_sum(alpha, k, k + M)) > bound,
+        max(N + 1, cantor._LINEAR_M_CAP + 1), cantor._INDEX_CAP, NoViolationError(),
+    )
+
+
+def test_built_levels_match_fraction_cell_loop(monkeypatch):
+    monkeypatch.setattr(cantor, "_minimal_violation_window", _fraction_violation_window)
+    spec = build_cantor(PL2, ALPHA, DELTA, HALF_L, eps_first=Fraction(1, 1000), N=10, depth=2)
+    assert spec.levels == built3().levels[:2]
 
 
 def test_depth3_level_invariants():

@@ -36,12 +36,16 @@ def _blocks_as_tuples(cert):
 
 
 def _coverage_exact(spec, cert, a, b) -> bool:
-    """Chain check: sorted pieces must run from a to b with no gap."""
-    pieces = [block_bounds(spec, blk) for blk in cert.blocks]
+    """Chain check: sorted pieces must run from a to b with no gap.
+
+    Enclosed endpoints count conservatively: a piece starts at the upper
+    end of its left endpoint and stops at the lower end of its right one.
+    """
+    pieces = [(upper(lo), lower(hi)) for lo, hi in (block_bounds(spec, blk) for blk in cert.blocks)]
     pieces += [(lo, hi) for lo, hi in cert.residuals]
     pieces.sort()
-    cur = a.value(spec)
-    target = Fraction(1) if b is UNIT_END else b.value(spec)
+    cur = upper(a.value(spec))
+    target = Fraction(1) if b is UNIT_END else lower(b.value(spec))
     for left, right in pieces:
         if left > cur:
             return False
@@ -327,6 +331,18 @@ def test_cover_powerlaw_interval_mode():
             break
         cur = max(cur, right)
     assert cur >= target
+
+
+# the first rung fails and escalates: at 16 bits a tail enclosure reaches
+# below zero under a fractional power, at 20-32 bits a boundary search
+# hits its cap
+@pytest.mark.parametrize("bits", [16, 20, 24, 32])
+def test_cover_escalates_past_a_failing_first_rung(bits):
+    a, b = QRational.of((1, 2)), QRational.of((2, 1))
+    cert = cover_interval(PL2, a, b, HALF_PARAMS, prec=bits)
+    assert cert.alpha_volume_upper <= cert.bound_rhs
+    with workprec(96):
+        assert _coverage_exact(PL2, cert, a, b)
 
 
 def test_cover_lazy_stream_mode():

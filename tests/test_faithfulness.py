@@ -288,3 +288,65 @@ def test_window_fast_margin():
         lhs = ipow(GEO.range_sum(40, 61), Fraction(2, 5))
         assert fast == lower(lhs) - upper(GEO.power_sum(ALPHA_HALF, 40))
         assert fast > 0
+
+
+def _fraction_check_row(spec, query, n):
+    """_check_row as it ran before cells compared on raw mpf endpoints:
+    both endpoints of every cell and every margin as Fractions."""
+    alpha, expo = query.alpha, query.alpha - query.delta
+    m_min = query.N + 1
+    if spec.power_tail_converges(alpha):
+        fast = lower(faithfulness._lhs(spec, n, m_min, expo)) - upper(
+            faithfulness._rhs(spec, n, None, alpha)
+        )
+        if fast >= 0:
+            return fast
+
+    margin = None
+    undecided = False
+    for M, lhs, rhs in window_scan(spec, n, alpha, expo, m_min, query.M_max):
+        if upper(lhs) < lower(rhs):
+            raise faithfulness._Violation(n, M, upper(lhs), lower(rhs))
+        cell = lower(lhs) - upper(rhs)
+        if cell < 0:
+            undecided = True
+        elif margin is None or cell < margin:
+            margin = cell
+
+    lhs_inf = faithfulness._lhs(spec, n, None, expo)
+    if spec.power_tail_converges(alpha):
+        rhs_inf = faithfulness._rhs(spec, n, None, alpha)
+        if upper(lhs_inf) < lower(rhs_inf):
+            raise faithfulness._Violation(n, None, upper(lhs_inf), lower(rhs_inf))
+        cell = lower(lhs_inf) - upper(rhs_inf)
+        if cell < 0:
+            undecided = True
+        elif margin is None or cell < margin:
+            margin = cell
+    else:
+        partial = faithfulness._certify_divergent_limit(spec, n, alpha, upper(lhs_inf), query.M_max)
+        raise faithfulness._Violation(n, None, upper(lhs_inf), partial)
+
+    if undecided:
+        return None
+    return margin
+
+
+@pytest.mark.parametrize("bits", [64, 96, 128])
+@pytest.mark.parametrize(
+    "spec, query",
+    [
+        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 30)),
+        (LUR, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 2, 6, 40)),
+        (GEO, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 17, 22, 60)),
+        (GEO, ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40)),
+        (PL2, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 5, 8, 60)),
+        (PL2, ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 101, 150)),
+    ],
+    ids=["luroth-holds", "luroth-violated", "geometric-holds", "geometric-violated",
+         "powerlaw2-holds", "powerlaw2-violated"],
+)
+def test_verdict_matches_fraction_cell_loop(monkeypatch, bits, spec, query):
+    verdict = check_condition(spec, query, prec=bits).to_json()
+    monkeypatch.setattr(faithfulness, "_check_row", _fraction_check_row)
+    assert check_condition(spec, query, prec=bits).to_json() == verdict

@@ -3,7 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from mpmath import iv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv, libmp, mp
 
 from qinfty import rigor
 from qinfty.errors import CapacityError
@@ -304,5 +306,103 @@ def test_memo_caches_are_bounded():
         qvector._zeta_enclosure,
         covering._kappa_cached,
         covering._tail_partition,
+        rigor._exponent,
     ):
         assert cached.cache_info().maxsize is not None
+
+
+# --- raw-endpoint comparisons against the Fraction-endpoint definitions ------
+
+def _old_frac_of_mpf(m) -> Fraction:
+    """The per-comparison conversion comparisons used before they ran on
+    raw endpoints; the reference for the exact value of an mpf."""
+    sign, man, exp, _ = m._mpf_
+    if man == 0:
+        return Fraction(0)
+    val = Fraction(int(man)) * Fraction(2) ** exp
+    return -val if sign else val
+
+
+def _old_endpoints(x) -> tuple[Fraction, Fraction]:
+    if isinstance(x, Fraction):
+        return x, x
+    at, bt = x._mpi_
+    return _old_frac_of_mpf(mp.make_mpf(at)), _old_frac_of_mpf(mp.make_mpf(bt))
+
+
+def _ref_decide_le(x, y):
+    (xl, xu), (yl, yu) = _old_endpoints(x), _old_endpoints(y)
+    return True if xu <= yl else False if xl > yu else None
+
+
+def _ref_decide_lt(x, y):
+    (xl, xu), (yl, yu) = _old_endpoints(x), _old_endpoints(y)
+    return True if xu < yl else False if xl >= yu else None
+
+
+# few distinct small values, so shared and touching endpoints are common,
+# and wide mantissas at extreme binary exponents
+_raw_mpfs = st.one_of(
+    st.builds(libmp.from_man_exp, st.integers(-6, 6), st.integers(-3, 3)),
+    st.builds(libmp.from_man_exp, st.integers(-(2**200), 2**200), st.integers(-3000, 3000)),
+)
+
+
+@st.composite
+def _enclosures(draw):
+    a, b = sorted((draw(_raw_mpfs), draw(_raw_mpfs)), key=lambda r: mp.make_mpf(r))
+    if draw(st.booleans()):
+        b = a  # point enclosure
+    return iv.make_mpf((a, b))
+
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+_nums = st.one_of(_enclosures(), _fractions)
+
+
+@settings(deadline=None)
+@given(st.builds(mp.make_mpf, _raw_mpfs))
+def test_frac_of_mpf_matches_the_old_formula(m):
+    assert frac_of_mpf(m) == _old_frac_of_mpf(m)
+
+
+@settings(deadline=None)
+@given(_nums, _nums)
+def test_decide_on_raw_endpoints_matches_fraction_definition(x, y):
+    assert decide_le(x, y) is _ref_decide_le(x, y)
+    assert decide_lt(x, y) is _ref_decide_lt(x, y)
+    assert endpoints(x) == _old_endpoints(x)
+
+
+@settings(deadline=None)
+@given(_enclosures(), _enclosures())
+def test_gap_is_exact(x, y):
+    assert frac_of_mpf(rigor.gap(x, y)) == _old_endpoints(x)[0] - _old_endpoints(y)[1]
+
+
+def test_infinite_endpoint_is_not_read_as_zero():
+    with workprec(96):
+        unbounded = to_iv(1) / iv.mpf([-1, 1])
+        with pytest.raises(CapacityError):
+            endpoints(unbounded)
+        assert decide_le(unbounded, to_iv(0)) is None
+
+
+# --- exponent memo and the domain of fractional powers ------------------------
+
+@pytest.mark.parametrize("bits", [53, 96, 192])
+@pytest.mark.parametrize("expo", [Fraction(1, 2), Fraction(-9, 10), Fraction(7, 3)])
+def test_ipow_memoized_exponent_is_bit_identical(bits, expo):
+    with workprec(bits):
+        for base in (Fraction(1, 3), to_iv(Fraction(5, 7)), hull(Fraction(0), Fraction(1, 9))):
+            assert ipow(base, expo)._mpi_ == (to_iv(base) ** to_iv(expo))._mpi_
+
+
+def test_ipow_fractional_power_of_enclosure_below_zero_raises():
+    with workprec(16):
+        straddle = hull(Fraction(-1, 2**20), Fraction(1, 3))
+        with pytest.raises(CapacityError, match="16 bits"):
+            ipow(straddle, Fraction(1, 2))
+        # integer exponents keep their path and are defined there
+        assert contains_value(ipow(straddle, Fraction(2)), Fraction(1, 9))
+        assert contains_value(ipow(straddle, 3), Fraction(-1, 2**60))
