@@ -236,12 +236,12 @@ def build_cantor(
     N: int = 10,
     depth: int = 1,
     prec: int = DEFAULT_PREC,
-    depth_cap: int = _DEPTH_CAP,
 ) -> CantorSpec:
     """Run the per-level searches and return the assembled spec.
 
-    Level n chooses the minimal k_n > N with tail mass at most eps_n and
-    tail^(delta/2) times the accumulated window power-sums at most L,
+    Level n chooses the least k_n > N certified at precision ``prec`` to
+    have tail mass at most eps_n and tail^(delta/2) times the accumulated
+    window power-sums at most L (a higher precision can give a smaller k_n),
     then a violating window length M_n > N (minimal only up to the linear
     cap), then certifies the level as :func:`assemble_cantor` does.  Each
     level's choices depend on all earlier ones only through a scalar
@@ -253,8 +253,8 @@ def build_cantor(
         Fraction(L),
         Fraction(eps_first),
     )
-    if not 1 <= depth <= depth_cap:
-        raise ParameterRangeError(f"depth must lie in 1..{depth_cap}")
+    if not 1 <= depth <= _DEPTH_CAP:
+        raise ParameterRangeError(f"depth must lie in 1..{_DEPTH_CAP}")
     if eps_first <= 0:
         raise ParameterRangeError("eps_first must be positive")
     half = delta / 2

@@ -15,8 +15,9 @@ being trusted.
 
 All bound checks compare an upper bound of the left-hand side against a
 lower bound of the right-hand side; a check that cannot be certified at
-the working precision climbs ``rigor.ladder`` and finally raises
-CapacityError rather than report an unverified certificate.
+the working precision raises Undecided, which ``rigor.escalate`` answers
+with the next rung, and which propagates from the top rung rather than
+report an unverified certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, Optional
 from mpmath import iv
 
 from . import rigor
-from .errors import CapacityError, InvalidIntervalError, ParameterRangeError
+from .errors import InvalidIntervalError, ParameterRangeError, Undecided
 from .expansion import (
     UNIT_END,
     CylinderAddress,
@@ -168,20 +169,19 @@ class Lemma1Partition:
     target, so sum_{m>=1} (group m mass)^alpha is certified to stay below
     the head group's alpha-power.  Boundaries extend lazily on demand, always
     at the working precision the partition was built at, so they depend on
-    (stream, alpha, cap, precision) alone and a partition can be shared.
+    (stream, alpha, precision) alone and a partition can be shared.
     """
 
-    def __init__(self, stream: TailStream, alpha: Fraction, cap: int = _SEARCH_CAP):
+    def __init__(self, stream: TailStream, alpha: Fraction):
         self.stream = stream
         self.alpha = Fraction(alpha)
-        self.cap = cap
         self.prec = iv.prec
         if not 0 < self.alpha <= 1:
             raise ParameterRangeError("alpha must lie in (0, 1]")
         self._half_alpha_factor = 1 - ipow(Fraction(1, 2), self.alpha)
         n1 = rigor.first_true(
-            self._head_condition, 0, cap,
-            CapacityError("no head boundary found below the iteration cap"),
+            self._head_condition, 0, _SEARCH_CAP,
+            Undecided("no head boundary found below the iteration cap"),
         )
         self._bounds: list[int] = [n1]
         # the halving targets are anchored at a fixed rational upper bound
@@ -209,8 +209,8 @@ class Lemma1Partition:
                     target = self.tail_at_head * Fraction(1, 2**m)
                     self._bounds.append(rigor.first_true(
                         lambda n: upper(self.stream.tail(n)) <= target,
-                        self._bounds[-1] + 1, self.cap,
-                        CapacityError("no halving boundary found below the iteration cap"),
+                        self._bounds[-1] + 1, _SEARCH_CAP,
+                        Undecided("no halving boundary found below the iteration cap"),
                     ))
         return self._bounds[k - 1]
 
@@ -240,8 +240,8 @@ class Lemma1Partition:
         return total_up <= head_low
 
 
-def lemma1_partition(stream: TailStream, alpha: Fraction, cap: int = _SEARCH_CAP) -> Lemma1Partition:
-    return Lemma1Partition(stream, alpha, cap)
+def lemma1_partition(stream: TailStream, alpha: Fraction) -> Lemma1Partition:
+    return Lemma1Partition(stream, alpha)
 
 
 @lru_cache(maxsize=256)
@@ -258,7 +258,7 @@ def _kappa_cached(spec: QVectorSpec, alpha: Fraction, delta: Fraction, prec: int
     qmax = spec.max_weight()
     c = ipow(qmax, delta / 2)
     if not upper(c) < 1:
-        raise CapacityError("max weight enclosure too wide to certify q^(delta/2) < 1")
+        raise Undecided("max weight enclosure too wide to certify q^(delta/2) < 1")
     # s * c^s peaks near -1/ln c and decreases beyond it, so a scan up to
     # just past the peak sees every candidate for the supremum
     peak = -1 / iv.log(to_iv(upper(c)))
@@ -361,10 +361,6 @@ class CoverCertificate:
             "kappa_upper_approx": float(self.kappa_upper),
             "interval_length": [rigor.frac_str(x) for x in self.interval_length],
         }
-
-
-class _RetryPrecision(Exception):
-    pass
 
 
 def _point_value(spec: QVectorSpec, x: RightEndpoint) -> Num:
@@ -589,7 +585,7 @@ def _finish(
     vol_up = upper(vol)
     rhs_low = lower(rhs)
     if vol_up > rhs_low:
-        raise _RetryPrecision
+        raise Undecided("could not certify the covering volume bound on the precision ladder")
     return CoverCertificate(
         input_interval=(a, b),
         params=params,
@@ -621,24 +617,13 @@ def cover_interval(
     the located cylinder), and the left part peels one rank per nonzero
     digit of a, partitioning each rank's tail greedily.
 
-    The volume bound is certified on the first rung of
-    ``rigor.ladder(prec)`` where it separates.  A CapacityError below the
-    top rung (a search that hit its cap, or an enclosure too wide) moves to
-    the next rung as well; on the top rung it propagates, and CapacityError
-    is raised when no rung separates.
+    The construction runs under ``rigor.escalate`` from ``prec``: an
+    Undecided (a volume bound that does not separate, a boundary search
+    that hits its cap, or an enclosure too wide) moves to the next rung and
+    propagates from the top one.  Any other CapacityError propagates at once.
     """
     if not isinstance(a, QRational):
         raise InvalidIntervalError("left endpoint must be a digit-string rational")
     if b is not UNIT_END and not isinstance(b, QRational):
         raise InvalidIntervalError("right endpoint must be a digit-string rational or the unit end")
-    rungs = rigor.ladder(prec)
-    for bits in rungs:
-        with workprec(bits):
-            try:
-                return _cover_once(spec, a, b, params)
-            except _RetryPrecision:
-                continue
-            except CapacityError:
-                if bits == rungs[-1]:
-                    raise
-    raise CapacityError("could not certify the covering volume bound on the precision ladder")
+    return rigor.escalate(lambda: _cover_once(spec, a, b, params), prec)

@@ -9,7 +9,15 @@ class InvalidIntervalError(QinftyError):
     """Interval endpoints out of order or outside [0, 1]."""
 
 
-class BoundaryAmbiguityError(QinftyError):
+class CapacityError(QinftyError):
+    """An iteration or refinement cap was exceeded before certification."""
+
+
+class Undecided(CapacityError):
+    """No certified answer at this working precision; a higher one may give one."""
+
+
+class BoundaryAmbiguityError(Undecided):
     """A point sits closer to a cylinder boundary than the achievable
     enclosure width, so the digit cannot be certified.
 
@@ -22,10 +30,6 @@ class BoundaryAmbiguityError(QinftyError):
         super().__init__(
             f"digit at rank {rank} undecidable between {candidates[0]} and {candidates[1]}"
         )
-
-
-class CapacityError(QinftyError):
-    """An iteration or refinement cap was exceeded before certification."""
 
 
 class NoViolationError(QinftyError):

@@ -25,7 +25,7 @@ from .errors import (
     ParameterRangeError,
 )
 from .qvector import QVectorSpec
-from .rigor import Num, workprec
+from .rigor import Num
 
 
 def _check_digits(digits: Iterable[int]) -> tuple[int, ...]:
@@ -228,22 +228,16 @@ def encode(spec: QVectorSpec, x: Fraction, depth: int, prec: int = rigor.DEFAULT
     """First `depth` digits of the expansion of x.
 
     x must be an exact rational in [0,1).  In interval mode the digit
-    comparisons are certified against enclosures, climbing
-    ``rigor.ladder(prec)``; if a digit stays undecidable on the top rung, a
-    BoundaryAmbiguityError names the two candidates.
+    comparisons are certified against enclosures under ``rigor.escalate``
+    from ``prec``: an undecidable digit raises BoundaryAmbiguityError, an
+    Undecided naming the two candidates, which propagates from the top rung.
     """
     x = Fraction(x)
     if not (0 <= x < 1):
         raise ParameterRangeError(f"encode expects 0 <= x < 1, got {x}")
     if depth <= 0:
         raise ParameterRangeError("encode depth must be positive")
-    for bits in rigor.ladder(prec):
-        try:
-            with workprec(bits):
-                return CylinderAddress(_encode_once(spec, x, depth))
-        except BoundaryAmbiguityError as exc:
-            ambiguity = exc
-    raise ambiguity
+    return rigor.escalate(lambda: CylinderAddress(_encode_once(spec, x, depth)), prec)
 
 
 def locate_max_cylinder(

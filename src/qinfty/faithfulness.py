@@ -4,7 +4,7 @@ The check scans digit windows [n, n+M] with n in (N, n_max] and
 M in (N, M_max], plus the M -> infinity cell via tail brackets.  Outcomes
 are deliberately three-valued: a certified counterexample is decisive, a
 certified hold only covers the scanned region, and anything the enclosures
-cannot separate at the top of the precision ladder stays inconclusive.
+cannot separate on the top rung of ``rigor.escalate`` stays inconclusive.
 
 A window with a divergent power tail is never an error: partial sums of
 the right side certifiably overtake the bounded left side, which is a
@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+from mpmath import iv
+
 from . import rigor
-from .errors import CapacityError, ParameterRangeError, QinftyError
+from .errors import CapacityError, ParameterRangeError, QinftyError, Undecided
 from .qvector import QVectorSpec
 from .rigor import Num, ipow, lower, upper, workprec
 
@@ -218,47 +220,44 @@ def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: i
         return upper(lhs) < lower(rhs)
 
 
+def _check_region(spec: QVectorSpec, query: ConditionQuery) -> ConditionVerdict:
+    """One rung of :func:`check_condition`; Undecided on an unsettled cell or witness."""
+    bits = iv.prec
+    margins: list[tuple[int, Fraction]] = []
+    try:
+        for n in range(query.N + 1, query.n_max + 1):
+            row = _check_row(spec, query, n)
+            if row is None:
+                raise Undecided(f"cells unseparated at {bits} bits")
+            margins.append((n, row))
+    except _Violation as vio:
+        if not _reverify(spec, query, vio, 2 * bits):
+            raise Undecided(f"violation candidate at {(vio.n, vio.M)} failed re-verification")
+        return ConditionVerdict(
+            outcome=VIOLATED,
+            witness=(vio.n, vio.M),
+            lhs_upper=vio.lhs_upper,
+            rhs_lower=vio.rhs_lower,
+            precision_bits=bits,
+            reverified_bits=2 * bits,
+        )
+    return ConditionVerdict(outcome=HOLDS, margins=tuple(margins), precision_bits=bits)
+
+
 def check_condition(
     spec: QVectorSpec, query: ConditionQuery, prec: int = CONDITION_PREC
 ) -> ConditionVerdict:
     """Scan the query region and return the first certified outcome.
 
-    The scan climbs ``rigor.ladder(prec)`` and reports the first rung that
-    separates every cell.  Violations re-verify at doubled working
-    precision before being reported.  When some cell stays unseparated on
-    the top rung the verdict is inconclusive rather than a guess.
+    The scan runs under ``rigor.escalate`` from ``prec``.  Violations
+    re-verify at doubled working precision before being reported.  When the
+    top rung still raises Undecided, the verdict is inconclusive with its
+    message as the reason, rather than a guess.
     """
-    for bits in rigor.ladder(prec):
-        with workprec(bits):
-            margins: list[tuple[int, Fraction]] = []
-            complete = True
-            try:
-                for n in range(query.N + 1, query.n_max + 1):
-                    row = _check_row(spec, query, n)
-                    if row is None:
-                        complete = False
-                        break
-                    margins.append((n, row))
-            except _Violation as vio:
-                if _reverify(spec, query, vio, 2 * bits):
-                    return ConditionVerdict(
-                        outcome=VIOLATED,
-                        witness=(vio.n, vio.M),
-                        lhs_upper=vio.lhs_upper,
-                        rhs_lower=vio.rhs_lower,
-                        precision_bits=bits,
-                        reverified_bits=2 * bits,
-                    )
-                last_reason = (
-                    f"violation candidate at {(vio.n, vio.M)} failed re-verification"
-                )
-                continue
-        if complete:
-            return ConditionVerdict(
-                outcome=HOLDS, margins=tuple(margins), precision_bits=bits
-            )
-        last_reason = f"cells unseparated at {bits} bits"
-    return ConditionVerdict(outcome=INCONCLUSIVE, reason=last_reason, precision_bits=0)
+    try:
+        return rigor.escalate(lambda: _check_region(spec, query), prec)
+    except Undecided as exc:
+        return ConditionVerdict(outcome=INCONCLUSIVE, reason=str(exc), precision_bits=0)
 
 
 @dataclass(frozen=True)

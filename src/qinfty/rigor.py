@@ -11,8 +11,8 @@ controls width.
 Enclosure endpoints are binary floats, which mpmath compares and subtracts
 exactly, so comparisons between two enclosures run on the raw endpoints;
 a ``Fraction`` is built only where a bound is reported or an exact value
-takes part.  When a certified decision needs a narrower enclosure,
-every escalating search climbs the same precision rungs, :func:`ladder`.
+takes part.  A step left undecided at the working precision raises
+``Undecided``, and :func:`escalate` retries it on the next rung of :func:`ladder`.
 
 mpmath's interval context is process-global, so all precision-sensitive
 regions are serialized behind one lock.  Callers get thread safety at the
@@ -28,13 +28,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, floor
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from mpmath import iv, libmp, mp
 
-from .errors import CapacityError
+from .errors import CapacityError, Undecided
 
 Num = Union[Fraction, "iv.mpf"]
+T = TypeVar("T")
 
 DEFAULT_PREC = 96
 
@@ -54,13 +55,29 @@ def ladder(start: int) -> tuple[int, int, int]:
     return (start, 2 * start, 4 * start)
 
 
+def escalate(fn: Callable[[], T], prec: int) -> T:
+    """fn() under :func:`workprec` on the first rung of ``ladder(prec)`` that
+    decides it: Undecided moves up a rung and propagates from the top one,
+    and any other error propagates at once."""
+    rungs = ladder(prec)
+    for bits in rungs:
+        try:
+            with workprec(bits):
+                return fn()
+        except Undecided:
+            if bits == rungs[-1]:
+                raise
+
+
 def first_true(pred: Callable[[int], bool], start: int, cap: float, fail: Exception) -> int:
     """Least index >= start where the monotone predicate holds.
 
-    Gallops upward from ``start`` in doubling steps, then bisects the last
-    step.  ``pred`` is never called above ``cap``; ``fail`` is raised when
-    it holds nowhere up to ``cap``.  Pass ``math.inf`` as ``cap`` for a
-    search that is known to end.
+    ``pred`` returns True only where it holds certifiably at the working
+    precision, so this is the least index certified there.  Gallops upward
+    from ``start`` in doubling steps, then bisects the last step.  ``pred``
+    is never called above ``cap``; ``fail`` is raised when it holds nowhere
+    up to ``cap``.  Pass ``math.inf`` as ``cap`` for a search that is known
+    to end.
     """
     if pred(start):
         return start
@@ -108,7 +125,7 @@ def _frac(raw) -> Fraction:
     sign, man, exp, _ = raw
     if not man:
         if exp:
-            raise CapacityError(f"enclosure has an infinite or NaN endpoint at {iv.prec} bits")
+            raise Undecided(f"enclosure has an infinite or NaN endpoint at {iv.prec} bits")
         return Fraction(0)
     man = -int(man) if sign else int(man)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
@@ -212,8 +229,8 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
     """Rigorous base**expo for nonnegative base.
 
     A fractional power of an enclosure reaching below zero is undefined
-    there, so it raises CapacityError: a higher precision may narrow the
-    base onto [0, inf).
+    there, so it raises Undecided: a higher precision may narrow the base
+    onto [0, inf).
     """
     b = to_iv(base)
     if isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1:
@@ -221,7 +238,7 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
     if isinstance(expo, Fraction):
         expo = _exponent(expo.numerator, expo.denominator, iv.prec)
     if libmp.mpf_sign(b._mpi_[0]) < 0:
-        raise CapacityError(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
+        raise Undecided(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
     return b ** expo
 
 

@@ -18,7 +18,7 @@ from qinfty.covering import (
     kappa,
     lemma1_partition,
 )
-from qinfty.errors import ParameterRangeError
+from qinfty.errors import BoundaryAmbiguityError, ParameterRangeError, Undecided
 from qinfty.expansion import UNIT_END, CylinderAddress, QRational, right_end
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import ipow, lower, to_iv, upper, workprec
@@ -343,6 +343,22 @@ def test_cover_escalates_past_a_failing_first_rung(bits):
     assert cert.alpha_volume_upper <= cert.bound_rhs
     with workprec(96):
         assert _coverage_exact(PL2, cert, a, b)
+
+
+# a low first rung must not leave the lazy stream with a partition whose
+# later boundaries its precision cannot certify
+@pytest.mark.parametrize("bits", [16, 20, 24])
+def test_cover_lazy_stream_on_an_enclosure_spec_past_a_failing_first_rung(bits):
+    a, b = QRational.of((1, 2)), QRational.of((2, 1))
+    params = CoverParams(Fraction(1, 2), Fraction(1, 5), mode="lazy_stream")
+    cert = cover_interval(PL2, a, b, params, prec=bits)
+    assert cert.alpha_volume_upper <= cert.bound_rhs
+    blocks = list(itertools.islice(cert.stream, 40))
+    assert len(set(blocks)) == 40
+
+
+def test_boundary_ambiguity_is_undecided():
+    assert issubclass(BoundaryAmbiguityError, Undecided)
 
 
 def test_cover_lazy_stream_mode():

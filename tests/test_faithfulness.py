@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from qinfty import faithfulness
-from qinfty.errors import ParameterRangeError, QinftyError
+from qinfty.errors import ParameterRangeError, QinftyError, Undecided
 from qinfty.faithfulness import (
     CSV_HEADER,
     HOLDS,
@@ -157,6 +157,17 @@ def test_inconclusive_names_top_rung(monkeypatch):
     verdict = check_condition(GEO, query)
     assert verdict.outcome == INCONCLUSIVE
     assert verdict.reason == "cells unseparated at 256 bits"
+    assert verdict.precision_bits == 0
+
+
+def test_top_rung_undecided_becomes_the_inconclusive_reason(monkeypatch):
+    def undecided_row(spec, query, n):
+        raise Undecided("x")
+
+    monkeypatch.setattr(faithfulness, "_check_row", undecided_row)
+    verdict = check_condition(GEO, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 20, 25, 25))
+    assert verdict.outcome == INCONCLUSIVE
+    assert verdict.reason == "x"
     assert verdict.precision_bits == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import iv, libmp, mp
 
 from qinfty import rigor
-from qinfty.errors import CapacityError
+from qinfty.errors import CapacityError, Undecided
 from qinfty.rigor import (
     contains_value,
     decide_le,
@@ -406,3 +406,56 @@ def test_ipow_fractional_power_of_enclosure_below_zero_raises():
         # integer exponents keep their path and are defined there
         assert contains_value(ipow(straddle, Fraction(2)), Fraction(1, 9))
         assert contains_value(ipow(straddle, 3), Fraction(-1, 2**60))
+
+
+# --- the escalation rule ------------------------------------------------------
+
+def test_escalate_returns_the_first_rung_result_after_one_call():
+    seen = []
+
+    def fn():
+        seen.append(iv.prec)
+        return "done"
+
+    before = iv.prec
+    assert rigor.escalate(fn, 24) == "done"
+    assert seen == [24]
+    assert iv.prec == before
+
+
+def test_escalate_climbs_on_undecided():
+    seen = []
+
+    def fn():
+        seen.append(iv.prec)
+        if len(seen) < 3:
+            raise Undecided(f"not separated at {iv.prec} bits")
+        return iv.prec
+
+    assert rigor.escalate(fn, 24) == 96
+    assert seen == [24, 48, 96]
+
+
+def test_escalate_reraises_the_top_rung_undecided():
+    seen = []
+
+    def fn():
+        seen.append(iv.prec)
+        raise Undecided(f"not separated at {iv.prec} bits")
+
+    with pytest.raises(Undecided, match="at 96 bits"):
+        rigor.escalate(fn, 24)
+    assert seen == [24, 48, 96]
+
+
+def test_escalate_lets_a_plain_capacity_error_out_of_the_first_rung():
+    seen = []
+
+    def fn():
+        seen.append(iv.prec)
+        raise CapacityError("iteration cap")
+
+    with pytest.raises(CapacityError, match="iteration cap") as info:
+        rigor.escalate(fn, 24)
+    assert not isinstance(info.value, Undecided)
+    assert seen == [24]
