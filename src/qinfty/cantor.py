@@ -81,7 +81,14 @@ class CantorAddress:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        try:
+            digits = tuple(self.digits)
+        except TypeError:
+            digits = None
+        # a bool or float digit is an error, not a digit to round
+        if digits is None or not all(type(d) is int for d in digits):
+            raise InvalidAddressError(f"address digits must be integers, got {self.digits!r}")
+        object.__setattr__(self, "digits", digits)
 
     @property
     def level(self) -> int:

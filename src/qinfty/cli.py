@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import random
 import sys
@@ -121,10 +122,9 @@ def _cmd_cover(args) -> int:
     )
     doc = cert.to_json()
     if cert.stream is not None:
-        head = []
-        for _ in range(args.max_blocks):
-            head.append(next(cert.stream).to_json())
-        doc["stream_head"] = head
+        # a cover without partitioned tails has a finite stream
+        head = itertools.islice(cert.stream, args.max_blocks)
+        doc["stream_head"] = [blk.to_json() for blk in head]
     _emit(doc, args.out)
     print(
         f"cover: {len(cert.blocks)} blocks, alpha-volume <= "
@@ -216,7 +216,7 @@ def _cmd_cantor_volume(args) -> int:
 
 def _cmd_cantor_measure(args) -> int:
     spec = _load_cantor(args.spec)
-    addr = cantor_mod.CantorAddress(tuple(json.loads(args.address)))
+    addr = cantor_mod.CantorAddress(json.loads(args.address))
     lo, hi = cantor_mod.measure_cylinder(spec, addr, prec=args.precision_bits)
     doc = {
         "address": list(addr.digits),
@@ -319,8 +319,10 @@ def _cmd_selftest(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=rigor.DEFAULT_PREC,
-                     help="first rung of the start/2x/4x precision ladder "
-                     "(default %(default)s)")
+                     help="working precision in bits (default %(default)s): the "
+                     "first rung of the start/2x/4x ladder for encode, cover, "
+                     "check-condition and selftest, the one precision of "
+                     "decode, scan-condition and cantor")
 
 
 def _build_parser() -> argparse.ArgumentParser:

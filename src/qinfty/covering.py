@@ -314,8 +314,11 @@ class CoverCertificate:
     inequality alpha_volume_upper <= bound_rhs is certified as stated.
 
     ``residuals`` are outer rational bounds of the uncovered-by-blocks
-    leftovers (empty in lazy mode, where ``stream`` yields blocks forever
-    and alpha_volume_upper accounts for the whole infinite covering).
+    leftovers.  In lazy mode they are empty: ``stream`` yields the finite
+    blocks and then the groups of the partitioned tails in turn, without
+    end if there is such a tail, and alpha_volume_upper accounts for the
+    whole covering.  A cover with no partitioned tail has a finite stream,
+    and a single-cylinder interval has none.
     ``rank_heads`` records, per partitioned tail, the rank offset and the
     head block of its partition, before any merging.
     """
@@ -379,12 +382,10 @@ class _TailJob:
     prefix: CylinderAddress
     start_digit: int
 
-
-def _tail_bounds(spec: QVectorSpec, job: _TailJob, from_digit: int) -> tuple[Fraction, Fraction]:
-    """Outer rational bounds of [left(prefix.from_digit), right(prefix))."""
-    left_val = _left_point(job.prefix.child(from_digit)).value(spec)
-    right_val = _point_value(spec, right_end(job.prefix))
-    return lower(left_val), upper(right_val)
+    def block(self, part: Lemma1Partition, m: int) -> Block:
+        """The block of group m of this tail's partition."""
+        i, j = part.group_range(m)
+        return Block(self.prefix, self.start_digit + i, self.start_digit + j)
 
 
 def _emit_tail_blocks(
@@ -392,23 +393,21 @@ def _emit_tail_blocks(
     job: _TailJob,
     part: Lemma1Partition,
     budget: Fraction,
-) -> tuple[list[Block], Optional[tuple[Fraction, Fraction]]]:
-    """Blocks for one partitioned tail until the leftover fits the budget."""
+) -> tuple[list[Block], list[tuple[Fraction, Fraction]]]:
+    """Blocks for one partitioned tail until the leftover fits the budget.
+
+    The leftover [left(prefix.next digit), right(prefix)) comes back as
+    outer rational bounds, in a list of zero or one pairs.
+    """
+    right = upper(_point_value(spec, right_end(job.prefix)))
     blocks: list[Block] = []
-    m = 0
     while True:
-        if m == 0:
-            next_start = job.start_digit
-        else:
-            next_start = job.start_digit + part.boundary(m) + 1
-        res_lo, res_hi = _tail_bounds(spec, job, next_start)
-        if res_hi - res_lo <= budget:
-            if res_hi > res_lo:
-                return blocks, (res_lo, res_hi)
-            return blocks, None
-        i, j = part.group_range(m)
-        blocks.append(Block(job.prefix, job.start_digit + i, job.start_digit + j))
-        m += 1
+        m = len(blocks)
+        start = job.start_digit + (part.boundary(m) + 1 if m else 0)
+        left = lower(_left_point(job.prefix.child(start)).value(spec))
+        if right - left <= budget:
+            return blocks, [(left, right)] if right > left else []
+        blocks.append(job.block(part, m))
 
 
 def _merge_adjacent(blocks: list[Block]) -> list[Block]:
@@ -427,20 +426,41 @@ def _cover_once(
 ) -> CoverCertificate:
     prefix, beta1 = locate_max_cylinder(spec, a, b)
     n = prefix.rank
+    alpha = params.alpha
 
     e_val = _point_value(spec, b) - _point_value(spec, a)
-    _, k_enc = kappa(spec, params.alpha, params.delta)
-    rhs = k_enc * ipow(e_val, params.alpha - params.delta)
+    _, k_enc = kappa(spec, alpha, params.delta)
+    rhs = k_enc * ipow(e_val, alpha - params.delta)
+
+    def certificate(blocks, residuals, vol, **extra) -> CoverCertificate:
+        vol_up = upper(vol)
+        rhs_low = lower(rhs)
+        if vol_up > rhs_low:
+            raise Undecided("could not certify the covering volume bound on the precision ladder")
+        return CoverCertificate(
+            input_interval=(a, b),
+            params=params,
+            blocks=tuple(blocks),
+            residuals=tuple(residuals),
+            alpha_volume_upper=vol_up,
+            bound_rhs=rhs_low,
+            kappa_upper=upper(k_enc),
+            interval_length=(lower(e_val), upper(e_val)),
+            **extra,
+        )
 
     # E equal to one cylinder collapses to a single block of its parent
     if n >= 1 and _left_point(prefix) == a and right_end(prefix) == b:
         blk = Block(CylinderAddress(prefix.digits[:-1]), prefix.digits[-1], prefix.digits[-1])
-        vol = alpha_volume(spec, [blk], params.alpha)
-        return _finish(a, b, params, [blk], [], [], vol, rhs, k_enc, e_val, None)
+        return certificate([blk], [], alpha_volume(spec, [blk], alpha))
 
     beta = a.digits[n:] if len(a.digits) > n else (0,)
     ell = len(beta)
 
+    # finite blocks by rank offset: 0 is the right-part tail, 1 holds a's
+    # own cylinder when a ends one rank below the located one, and k >= 2
+    # is the left part's rank-k tail
+    by_rank: dict[int, list[Block]] = {}
     right_blocks: list[Block] = []
     jobs: list[_TailJob] = []
     j1_block: Optional[Block] = None
@@ -451,155 +471,83 @@ def _cover_once(
     else:
         # b is a QRational: UNIT_END gets the empty prefix, whose right end is UNIT_END
         e_digit = b.digit_at(n)
+        if e_digit - 1 >= beta1 + 1:
+            right_blocks.append(Block(prefix, beta1 + 1, e_digit - 1))
         below = b.digits[n + 1 :]
-        if not below:
-            # b is the left endpoint of prefix.e_digit
-            if e_digit - 1 >= beta1 + 1:
-                right_blocks.append(Block(prefix, beta1 + 1, e_digit - 1))
-        else:
-            if e_digit - 1 >= beta1 + 1:
-                right_blocks.append(Block(prefix, beta1 + 1, e_digit - 1))
-            zeros = 0
-            while below[zeros] == 0:
-                zeros += 1
+        if below:
+            # b lies inside prefix.e_digit: take the cylinder past b's zeros
+            zeros = next(i for i, d in enumerate(below) if d)
             addr = prefix.digits + (e_digit,) + (0,) * zeros
             j1_block = Block(CylinderAddress(addr[:-1]), addr[-1], addr[-1])
             right_blocks.append(j1_block)
 
-    left_blocks: list[Block] = []
     if ell == 1:
-        left_blocks.append(Block(prefix, beta1, beta1))
-    else:
-        for k in range(2, ell + 1):
-            sub = CylinderAddress(prefix.digits + beta[: k - 1])
-            start = beta[k - 1] if k == ell else beta[k - 1] + 1
-            jobs.append(_TailJob(k, sub, start))
+        by_rank[1] = [Block(prefix, beta1, beta1)]
+    for k in range(2, ell + 1):
+        sub = CylinderAddress(prefix.digits + beta[: k - 1])
+        jobs.append(_TailJob(k, sub, beta[k - 1] if k == ell else beta[k - 1] + 1))
 
     lazy = params.mode == MODE_LAZY_STREAM
     budget = params.eps_res / ell
-    partitions = [
-        (job, _tail_partition(spec, job.start_digit, params.alpha, iv.prec)) for job in jobs
-    ]
+    partitions = [(job, _tail_partition(spec, job.start_digit, alpha, iv.prec)) for job in jobs]
 
     residuals: list[tuple[Fraction, Fraction]] = []
     rank_heads: list[tuple[int, Block]] = []
-    tail_blocks_per_job: list[list[Block]] = []
     vol = to_iv(0)
     right_vol = to_iv(0)
     for blk in right_blocks:
-        right_vol = right_vol + ipow(block_length(spec, blk), params.alpha)
+        right_vol = right_vol + ipow(block_length(spec, blk), alpha)
 
     for job, part in partitions:
-        i0, j0 = part.group_range(0)
-        head_block = Block(job.prefix, job.start_digit + i0, job.start_digit + j0)
-        rank_heads.append((job.rank_offset, head_block))
+        head = job.block(part, 0)
+        rank_heads.append((job.rank_offset, head))
         if lazy:
             # whole-partition bound: head alpha-power plus the certified series
-            head_pow = ipow(block_length(spec, head_block), params.alpha)
-            series_bound = ipow(cylinder_length(spec, job.prefix), params.alpha) * to_iv(
-                part.series_alpha_tail(0)
-            )
-            vol = vol + head_pow + series_bound
-            tail_blocks_per_job.append([])
+            head_pow = ipow(block_length(spec, head), alpha)
+            series = ipow(cylinder_length(spec, job.prefix), alpha) * to_iv(part.series_alpha_tail(0))
+            vol = vol + head_pow + series
             if job.rank_offset == 0:
-                right_vol = right_vol + head_pow + series_bound
-        else:
-            emitted, residual = _emit_tail_blocks(spec, job, part, budget)
-            tail_blocks_per_job.append(emitted)
-            if residual is not None:
-                residuals.append(residual)
-            if job.rank_offset == 0:
-                for blk in emitted:
-                    right_vol = right_vol + ipow(block_length(spec, blk), params.alpha)
-                if residual is not None:
-                    right_vol = right_vol + ipow(residual[1] - residual[0], params.alpha)
+                right_vol = right_vol + head_pow + series
+            continue
+        blocks, leftover = _emit_tail_blocks(spec, job, part, budget)
+        by_rank[job.rank_offset] = blocks
+        residuals += leftover
+        if job.rank_offset == 0:
+            for blk in blocks:
+                right_vol = right_vol + ipow(block_length(spec, blk), alpha)
+            for lo, hi in leftover:
+                right_vol = right_vol + ipow(hi - lo, alpha)
 
     # geometric order: deepest left tail first, then up the ranks, then right
-    ordered: list[Block] = []
-    left_jobs = [(job, blks) for (job, _), blks in zip(partitions, tail_blocks_per_job) if job.rank_offset != 0]
-    for job, blks in sorted(left_jobs, key=lambda t: -t[0].rank_offset):
-        ordered.extend(blks)
-    ordered.extend(left_blocks)
-    ordered.extend(right_blocks)
-    for (job, part), blks in zip(partitions, tail_blocks_per_job):
-        if job.rank_offset == 0:
-            ordered.extend(blks)
-    finite_blocks = _merge_adjacent(ordered)
+    ordered = [blk for k in range(ell, 0, -1) for blk in by_rank.get(k, ())]
+    finite_blocks = _merge_adjacent(ordered + right_blocks + by_rank.get(0, []))
 
     # an interval inside the residual budget can leave no finite blocks, and
     # an exact spec's empty alpha_volume is a Fraction, which iv cannot add
     if finite_blocks:
-        vol = vol + alpha_volume(spec, finite_blocks, params.alpha)
-    for res_lo, res_hi in residuals:
-        vol = vol + ipow(res_hi - res_lo, params.alpha)
+        vol = vol + alpha_volume(spec, finite_blocks, alpha)
+    for lo, hi in residuals:
+        vol = vol + ipow(hi - lo, alpha)
 
-    stream_iter = None
-    if lazy:
-        stream_iter = _lazy_blocks(finite_blocks, partitions)
-
-    return _finish(
-        a,
-        b,
-        params,
+    return certificate(
         finite_blocks,
         residuals,
-        rank_heads,
         vol,
-        rhs,
-        k_enc,
-        e_val,
-        stream_iter,
         right_part_volume_upper=upper(right_vol),
         j1_length_upper=None if j1_block is None else upper(block_length(spec, j1_block)),
+        rank_heads=tuple(rank_heads),
+        stream=_lazy_blocks(finite_blocks, partitions) if lazy else None,
     )
 
 
 def _lazy_blocks(prelude: list[Block], partitions) -> Iterator[Block]:
-    for blk in prelude:
-        yield blk
-    live = [(job, part, 0) for job, part in partitions]
-    while live:
-        nxt = []
-        for job, part, m in live:
-            i, j = part.group_range(m)
-            yield Block(job.prefix, job.start_digit + i, job.start_digit + j)
-            nxt.append((job, part, m + 1))
-        live = nxt
-
-
-def _finish(
-    a,
-    b,
-    params,
-    blocks,
-    residuals,
-    rank_heads,
-    vol,
-    rhs,
-    k_enc,
-    e_val,
-    stream_iter,
-    right_part_volume_upper=None,
-    j1_length_upper=None,
-) -> CoverCertificate:
-    vol_up = upper(vol)
-    rhs_low = lower(rhs)
-    if vol_up > rhs_low:
-        raise Undecided("could not certify the covering volume bound on the precision ladder")
-    return CoverCertificate(
-        input_interval=(a, b),
-        params=params,
-        blocks=tuple(blocks),
-        residuals=tuple(residuals),
-        alpha_volume_upper=vol_up,
-        bound_rhs=rhs_low,
-        kappa_upper=upper(k_enc),
-        interval_length=(lower(e_val), upper(e_val)),
-        right_part_volume_upper=right_part_volume_upper,
-        j1_length_upper=j1_length_upper,
-        rank_heads=tuple(rank_heads),
-        stream=stream_iter,
-    )
+    yield from prelude
+    # with no partitioned tail the stream ends after the prelude
+    m = 0
+    while partitions:
+        for job, part in partitions:
+            yield job.block(part, m)
+        m += 1
 
 
 def cover_interval(

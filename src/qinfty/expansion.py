@@ -29,7 +29,13 @@ from .rigor import Num
 
 
 def _check_digits(digits: Iterable[int]) -> tuple[int, ...]:
-    ds = tuple(int(d) for d in digits)
+    try:
+        ds = tuple(digits)
+    except TypeError:
+        ds = None
+    # a bool or float digit is an error, not a digit to round
+    if ds is None or not all(type(d) is int for d in ds):
+        raise ParameterRangeError(f"digits must be a sequence of integers, got {digits!r}")
     if any(d < 0 for d in ds):
         raise ParameterRangeError(f"digits must be nonnegative, got {ds}")
     return ds

@@ -262,8 +262,10 @@ def parse_frac(text: str) -> Fraction:
     """Parse 'p/q' or a plain decimal/integer literal into a Fraction."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(text)
 
 

@@ -23,7 +23,6 @@ from qinfty.cantor import (
 from qinfty.covering import (
     CoverParams,
     TailStream,
-    block_bounds,
     block_length,
     cover_interval,
     lemma1_partition,
@@ -43,6 +42,8 @@ from qinfty.faithfulness import (
 )
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import ipow, lower, to_iv, upper, workprec
+
+from cover_check import coverage_exact
 
 LUR = QVectorSpec.luroth()
 GEO = QVectorSpec.geometric(Fraction(1, 2))
@@ -131,23 +132,6 @@ def _random_qr(rng, max_rank=5, max_digit=6):
     return QRational.of(tuple(rng.randint(0, max_digit) for _ in range(k)))
 
 
-def _coverage_exact(spec, cert, a, b):
-    # conservative direction: shrink each piece to its certain part
-    pieces = [
-        (upper(lo), lower(hi))
-        for lo, hi in (block_bounds(spec, blk) for blk in cert.blocks)
-    ]
-    pieces += [(lo, hi) for lo, hi in cert.residuals]
-    pieces.sort()
-    cur = a.value(spec)
-    target = Fraction(1) if b is UNIT_END else b.value(spec)
-    for left, right in pieces:
-        if left > cur:
-            return False
-        cur = max(cur, right)
-    return cur >= target
-
-
 def _check_certificate(spec, cert, params):
     assert cert.alpha_volume_upper <= cert.bound_rhs
     assert cert.residual_total_upper() <= params.eps_res
@@ -188,7 +172,7 @@ def test_criterion_3_covering_bound_random_suite():
                     checked += 1
                     for params in param_pairs:
                         cert = cover_interval(spec, a, b, params)
-                        assert _coverage_exact(spec, cert, a, b)
+                        assert coverage_exact(spec, cert, a, b)
                         _check_certificate(spec, cert, params)
 
 
@@ -332,7 +316,7 @@ def _check_cover_against_enumeration(spec, cert, a, b, params):
     assert lower(recomputed) <= cert.alpha_volume_upper
     slack = upper(recomputed) * Fraction(1, 2**30)
     assert cert.alpha_volume_upper <= upper(recomputed) + slack
-    assert _coverage_exact(spec, cert, a, b)
+    assert coverage_exact(spec, cert, a, b)
 
 
 def test_criterion_7_brute_force_equivalence():

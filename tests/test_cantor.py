@@ -252,6 +252,12 @@ def test_measure_child_masses_sum_to_parent():
         assert lower(total) <= parent_hi and parent_lo <= upper(total)
 
 
+@pytest.mark.parametrize("digits", [5, (2.0,), (True,)])
+def test_cantor_address_rejects_non_integer_digits(digits):
+    with pytest.raises(InvalidAddressError):
+        CantorAddress(digits)
+
+
 def test_measure_invalid_addresses():
     spec = toy()
     with pytest.raises(InvalidAddressError):

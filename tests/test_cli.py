@@ -79,6 +79,22 @@ def test_cover_lazy_stream_head(qvec_files, tmp_path):
     assert all("first" in blk and "last" in blk for blk in doc["stream_head"])
 
 
+def test_cover_lazy_stream_without_tail_is_finite(qvec_files, tmp_path, capsys):
+    # [1, 3) on Luroth is one sibling run: no partitioned tail, so the
+    # stream ends after its one finite block
+    out = tmp_path / "lazy.json"
+    rc = main([
+        "cover", "--qvec", qvec_files["luroth"],
+        "--a", "digits:[1]", "--b", "digits:[3]", "--alpha", "1/2", "--delta", "1/5",
+        "--mode", "lazy_stream", "--out", str(out),
+    ])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["stream_head"] == [{"prefix": [], "first": 1, "last": 2}]
+    assert doc["blocks"] == doc["stream_head"]
+    capsys.readouterr()
+
+
 def test_check_condition_holds(qvec_files, tmp_path, capsys):
     out = tmp_path / "verdict.json"
     rc = main([
@@ -229,6 +245,25 @@ def test_errors_exit_one(qvec_files, tmp_path, capsys):
                "--N", "5", "--n-max", "10", "--M-max", "10"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--digits", "5"],
+        ["decode", "--digits", "[1.5]"],
+        ["cover", "--a", "digits:7", "--b", "end", "--alpha", "1/2", "--delta", "1/5"],
+        ["encode", "--x", "1/0", "--depth", "3"],
+    ],
+    ids=["decode-scalar-digits", "decode-float-digit", "cover-scalar-digits", "encode-zero-denominator"],
+)
+def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv):
+    rc = main(argv[:1] + ["--qvec", qvec_files["luroth"]] + argv[1:])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (")
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_errors_exit_one(qvec_files, capsys):

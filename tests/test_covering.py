@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qinfty import covering
+from qinfty import covering, rigor
 from qinfty.covering import (
     Block,
     CoverParams,
@@ -23,6 +25,8 @@ from qinfty.expansion import UNIT_END, CylinderAddress, QRational, right_end
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import ipow, lower, to_iv, upper, workprec
 
+from cover_check import coverage_exact
+
 
 LUR = QVectorSpec.luroth()
 GEO = QVectorSpec.geometric(Fraction(1, 2))
@@ -33,24 +37,6 @@ HALF_PARAMS = CoverParams(Fraction(1, 2), Fraction(1, 5), Fraction(1, 10**6))
 
 def _blocks_as_tuples(cert):
     return [(blk.prefix.digits, blk.first, blk.last) for blk in cert.blocks]
-
-
-def _coverage_exact(spec, cert, a, b) -> bool:
-    """Chain check: sorted pieces must run from a to b with no gap.
-
-    Enclosed endpoints count conservatively: a piece starts at the upper
-    end of its left endpoint and stops at the lower end of its right one.
-    """
-    pieces = [(upper(lo), lower(hi)) for lo, hi in (block_bounds(spec, blk) for blk in cert.blocks)]
-    pieces += [(lo, hi) for lo, hi in cert.residuals]
-    pieces.sort()
-    cur = upper(a.value(spec))
-    target = Fraction(1) if b is UNIT_END else lower(b.value(spec))
-    for left, right in pieces:
-        if left > cur:
-            return False
-        cur = max(cur, right)
-    return cur >= target
 
 
 # --- Block and alpha_volume ---------------------------------------------------
@@ -204,7 +190,7 @@ def test_cover_geometric_mixed_interval():
     assert any(blk.prefix.digits == (1, 1) for blk in cert.blocks)
     assert cert.residual_total_upper() < Fraction(1, 10**6)
     assert cert.alpha_volume_upper <= cert.bound_rhs
-    assert _coverage_exact(GEO, cert, a, b)
+    assert coverage_exact(GEO, cert, a, b)
     # the rank-2 tail partition's head block is recorded before merging
     assert any(k == 2 for k, _ in cert.rank_heads)
 
@@ -218,13 +204,13 @@ def test_cover_interior_b_emits_deep_cylinder():
     # |J1| <= |E| / q0
     e_hi = cert.interval_length[1]
     assert cert.j1_length_upper <= e_hi / LUR.q(0)
-    assert _coverage_exact(LUR, cert, a, b)
+    assert coverage_exact(LUR, cert, a, b)
 
 
 def test_cover_until_cylinder_right_end():
     a, b = QRational.of((0, 2)), QRational.of((1,))
     cert = cover_interval(LUR, a, b, HALF_PARAMS)
-    assert _coverage_exact(LUR, cert, a, b)
+    assert coverage_exact(LUR, cert, a, b)
     assert cert.residual_total_upper() <= Fraction(1, 10**6)
     assert cert.blocks[0].prefix.digits == (0,)
     assert cert.blocks[0].first == 2
@@ -238,7 +224,7 @@ def test_cover_with_residuals_only():
         assert cert.blocks == ()
         assert cert.residual_total_upper() <= params.eps_res
         assert cert.alpha_volume_upper <= cert.bound_rhs
-        assert _coverage_exact(GEO, cert, a, b)
+        assert coverage_exact(GEO, cert, a, b)
 
 
 def test_cover_rejects_reversed_interval():
@@ -276,7 +262,7 @@ def test_cover_random_suite_exact_families():
             continue
         checked += 1
         cert = cover_interval(spec, a, b, HALF_PARAMS)
-        assert _coverage_exact(spec, cert, a, b)
+        assert coverage_exact(spec, cert, a, b)
         assert cert.alpha_volume_upper <= cert.bound_rhs
         assert cert.residual_total_upper() <= HALF_PARAMS.eps_res
         with workprec(96):
@@ -342,7 +328,7 @@ def test_cover_escalates_past_a_failing_first_rung(bits):
     cert = cover_interval(PL2, a, b, HALF_PARAMS, prec=bits)
     assert cert.alpha_volume_upper <= cert.bound_rhs
     with workprec(96):
-        assert _coverage_exact(PL2, cert, a, b)
+        assert coverage_exact(PL2, cert, a, b)
 
 
 # a low first rung must not leave the lazy stream with a partition whose
@@ -383,6 +369,65 @@ def test_cover_certificate_json_roundtrip_shape():
     assert doc["residuals"] == []
     assert doc["params"]["mode"] == "certified_residual"
     assert Block.from_json(doc["blocks"][0]) == cert.blocks[0]
+
+
+_PIN_CUSTOM = QVectorSpec.custom([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
+_PIN_CASES = [
+    ("luroth", LUR, (1, 2, 3), (2, 1)),
+    ("geometric", GEO, (1, 1, 1), (1, 3)),
+    ("powerlaw", PL2, (1, 2), (2, 1)),
+    ("custom", _PIN_CUSTOM, (0, 1, 2), (2,)),
+    ("luroth-j1", LUR, (0, 2), (0, 3, 0, 0, 5)),
+    ("luroth-right-tail", LUR, (0, 2), (1,)),
+    ("geometric-single-cylinder", GEO, (1,), (2,)),
+    ("luroth-b-end", LUR, (0, 0, 5), None),
+    ("luroth-no-tail", LUR, (1,), (3,)),
+]
+# sha256 of each certificate's canonical JSON, rank heads, right-part and
+# J1 bounds and first 40 stream blocks, recorded before the cover assembly
+# was rewritten; any change to the construction shows up here
+_PIN_DIGESTS = {
+    ("luroth", "certified_residual"): "8861a2ab6ef19ee0a0c65cb8dba77361dfd1f3de6b7d83c971414d9430469228",
+    ("luroth", "lazy_stream"): "e74aeb96ba5ea5b786394a08307fbf0b2709a1ed3098660d595541c233954927",
+    ("geometric", "certified_residual"): "fd247a3bb8684780cd73003d89daf4da907deeb76ea8df076d572027cb25ed30",
+    ("geometric", "lazy_stream"): "a7c390ebdd57eb63d305125f44f9c7c509266392cd48ab78aa17c7ead4dbf826",
+    ("powerlaw", "certified_residual"): "447e14f11f3f4353fedd137fa48f04594f93e9a2e4bd933a2bdd8b66d97f9a0a",
+    ("powerlaw", "lazy_stream"): "5653241b8b571aac342fe1af29374ea22ba5f1acc16373225b41ca44bf83de89",
+    ("custom", "certified_residual"): "ffa4770dc015c0e9bcd88a8cb135ba36c4031961cca7724549ab455d67a5e205",
+    ("custom", "lazy_stream"): "f26a393a2df39d8746f9d62c02d8518f5821cfca16fc94a9aca479b83d0ee941",
+    ("luroth-j1", "certified_residual"): "0fcc3c73ecbdb2c6097dd01cde2ce22bd705eb4cd56cb2d352c8345a2b89b2d6",
+    ("luroth-j1", "lazy_stream"): "1c13518db14d5f241ba3ea7fd884ea384d74cd33d49fea41b6881d4a7a849845",
+    ("luroth-right-tail", "certified_residual"): "4545aa008fb373a00e66af750ca7b9338525d60512964becea569fa647985df7",
+    ("luroth-right-tail", "lazy_stream"): "ee8525207ac39a6810398c1f53eeb085e18e37d8c1b95c236ef6a2002068fc99",
+    ("geometric-single-cylinder", "certified_residual"): "80e052d35aafcebae65ece86befdf84cb9f6b8a0898cc6a0b1e80ac1d2c0d0e0",
+    ("geometric-single-cylinder", "lazy_stream"): "4bf1c44f6e3f13818c45cfec7724014e8ea2597b2bcf7c196944cde0b94d164d",
+    ("luroth-b-end", "certified_residual"): "52c448894df30c9833ceb54e04bc5bd805e7fbabe37ae8d73835e0e27cdc3a5a",
+    ("luroth-b-end", "lazy_stream"): "e84a20eda4b6f247ad7bb31a61463bc509e4d408e0d4db6f6620a62f8eeefad1",
+    ("luroth-no-tail", "certified_residual"): "7fe962a99c8e9ef7ef52da090a39d4f07771ee3fdd3195ae479ae863ac8d90a5",
+    ("luroth-no-tail", "lazy_stream"): "e43cf771514728fd0d386413807d0cacd72b479ba9c279e63861a036029ea346",
+}
+
+
+@pytest.mark.parametrize("mode", ["certified_residual", "lazy_stream"])
+@pytest.mark.parametrize("name, spec, a, b", _PIN_CASES, ids=[c[0] for c in _PIN_CASES])
+def test_cover_construction_pinned(name, spec, a, b, mode):
+    b = UNIT_END if b is None else QRational.of(b)
+    params = CoverParams(Fraction(1, 2), Fraction(1, 5), mode=mode)
+    cert = cover_interval(spec, QRational.of(a), b, params)
+
+    def opt(x):
+        return None if x is None else rigor.frac_str(x)
+
+    doc = {
+        "cert": cert.to_json(),
+        "rank_heads": [[k, blk.to_json()] for k, blk in cert.rank_heads],
+        "right_part_volume_upper": opt(cert.right_part_volume_upper),
+        "j1_length_upper": opt(cert.j1_length_upper),
+        "stream_head": None if cert.stream is None
+        else [blk.to_json() for blk in itertools.islice(cert.stream, 40)],
+    }
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == _PIN_DIGESTS[(name, mode)]
 
 
 def test_cover_deterministic():

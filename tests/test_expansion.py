@@ -54,6 +54,14 @@ def test_qrational_rejects_negative_digits():
         QRational.of((1, -2))
 
 
+@pytest.mark.parametrize("digits", [5, (1.5,), (1, True), ("1",)])
+def test_digit_words_reject_non_integers(digits):
+    with pytest.raises(ParameterRangeError):
+        QRational.of(digits)
+    with pytest.raises(ParameterRangeError):
+        CylinderAddress.of(digits)
+
+
 def test_lexicographic_order_examples():
     assert QRational.of((1, 2)) < QRational.of((2,))
     assert QRational.of((1,)) < QRational.of((1, 1))

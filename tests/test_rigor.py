@@ -125,6 +125,11 @@ def test_parse_frac_forms():
     assert parse_frac("0.125") == Fraction(1, 8)
 
 
+def test_parse_frac_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        parse_frac("1/0")
+
+
 # --- power sums ------------------------------------------------------------
 
 def test_powsum_short_range_exact_oracle():
