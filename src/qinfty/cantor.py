@@ -174,11 +174,34 @@ def sample_address(spec: CantorSpec, level: int, rng) -> CantorAddress:
     return CantorAddress(tuple(digits))
 
 
+def _linear_scan_cannot_violate(
+    spec: QVectorSpec, alpha: Fraction, expo: Fraction, k: int, m_min: int
+) -> bool:
+    """Whether every window [k, k+M] with m_min <= M <= _LINEAR_M_CAP
+    certifiably satisfies the tail inequality, by one comparison.
+
+    With weights nonincreasing from k, such a window's power sum is at most
+    (_LINEAR_M_CAP + 1) q_k^alpha, and its mass is at least
+    (m_min + 1) q_{k+m_min}, so its left side is at least that to the expo.
+    """
+    if not spec.weights_nonincreasing_from(k):
+        return False
+    rhs_most = (_LINEAR_M_CAP + 1) * spec.weight_power(k, alpha)
+    lhs_least = ipow((m_min + 1) * spec.q(k + m_min), expo)
+    return rigor.decide_le(rhs_most, lhs_least) is True
+
+
 def _minimal_violation_window(
     spec: QVectorSpec, alpha: Fraction, delta: Fraction, k: int, N: int
 ) -> int:
     """An M > N whose window [k, k+M] certifiably violates the tail
     inequality: the least one while the linear scan lasts.
+
+    The linear scan is skipped when :func:`_linear_scan_cannot_violate`
+    holds.  That skip is sound: its two sides bound every scanned window
+    from the correct side, so the inequality truly holds on each of them,
+    no cell's enclosures can certify a violation, and the scan would have
+    returned nothing.
 
     Past the linear cap the search switches to the monotone sufficient test
     lower(sum q^alpha) > upper(tail^(alpha-delta)), which still certifies a
@@ -191,9 +214,10 @@ def _minimal_violation_window(
         raise NoViolationError(
             f"inequality certifiably holds for every window at offset {k}"
         )
-    for M, lhs, rhs in window_scan(spec, k, alpha, expo, m_min, _LINEAR_M_CAP):
-        if rigor.decide_lt(lhs, rhs):
-            return M
+    if not _linear_scan_cannot_violate(spec, alpha, expo, k, m_min):
+        for M, lhs, rhs in window_scan(spec, k, alpha, expo, m_min, _LINEAR_M_CAP):
+            if rigor.decide_lt(lhs, rhs):
+                return M
 
     bound = upper(ipow(spec.tail_sum(k), expo))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 from . import rigor
 from .errors import (
@@ -28,14 +28,12 @@ from .qvector import QVectorSpec
 from .rigor import Num
 
 
-def _check_digits(digits: Iterable[int]) -> tuple[int, ...]:
-    try:
-        ds = tuple(digits)
-    except TypeError:
-        ds = None
-    # a bool or float digit is an error, not a digit to round
-    if ds is None or not all(type(d) is int for d in ds):
-        raise ParameterRangeError(f"digits must be a sequence of integers, got {digits!r}")
+def _check_digits(digits: Sequence[int]) -> tuple[int, ...]:
+    # only a list or tuple is a word: a set or a mapping has no digit order,
+    # and a bool or float digit is an error, not a digit to round
+    if not isinstance(digits, (list, tuple)) or not all(type(d) is int for d in digits):
+        raise ParameterRangeError(f"digits must be a list or tuple of integers, got {digits!r}")
+    ds = tuple(digits)
     if any(d < 0 for d in ds):
         raise ParameterRangeError(f"digits must be nonnegative, got {ds}")
     return ds
@@ -48,7 +46,7 @@ class CylinderAddress:
     digits: tuple[int, ...]
 
     @classmethod
-    def of(cls, digits: Iterable[int]) -> "CylinderAddress":
+    def of(cls, digits: Sequence[int]) -> "CylinderAddress":
         return cls(_check_digits(digits))
 
     @property
@@ -74,7 +72,7 @@ class QRational:
     digits: tuple[int, ...]
 
     @classmethod
-    def of(cls, digits: Iterable[int]) -> "QRational":
+    def of(cls, digits: Sequence[int]) -> "QRational":
         ds = _check_digits(digits)
         while ds and ds[-1] == 0:
             ds = ds[:-1]

@@ -135,15 +135,16 @@ def window_scan(
     """Cells (M, lhs, rhs) of the windows [k, k+M] for m_min <= M <= m_max.
 
     lhs encloses (sum q_i)^expo and rhs encloses sum q_i^alpha over the
-    window; both sums grow by one term per step instead of being re-summed.
+    window; both sums grow by one term per step instead of being re-summed,
+    and each term's power comes from the spec's weight-power memo, which
+    consecutive rows share.
     """
     mass = spec.range_sum(k, k + m_min)
     rhs = spec.power_sum(alpha, k, k + m_min)
     for M in range(m_min, m_max + 1):
         if M > m_min:
-            q = spec.q(k + M)
-            mass = mass + q
-            rhs = rhs + ipow(q, alpha)
+            mass = mass + spec.q(k + M)
+            rhs = rhs + spec.weight_power(k + M, alpha)
         yield M, ipow(mass, expo), rhs
 
 

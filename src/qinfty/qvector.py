@@ -28,11 +28,20 @@ from .rigor import Num, ipow, max_num, powsum, to_iv
 
 _MAX_SCAN = 10**6
 _LUR_DIRECT = 600
+# Holds the indices of one check-condition row up to M_max = 4095, or of the
+# Cantor linear scan; consecutive rows share almost all of their indices.
+_WEIGHT_POWERS = 4096
 
 
 @lru_cache(maxsize=64)
 def _zeta_enclosure(m0: Fraction, prec: int):
     return powsum(m0, Fraction(0), 1, None)
+
+
+@lru_cache(maxsize=_WEIGHT_POWERS)
+def _weight_power(spec: "QVectorSpec", i: int, s: Fraction, prec: int):
+    """Enclosure of q_i^s at ``prec``, which must be the current ``iv.prec``."""
+    return ipow(spec.q(i), s)
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,21 @@ class QVectorSpec:
             return eff[i]
         return self.pad_mass * Fraction(1, 2 ** (i - k + 1))
 
+    def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
+        """Enclosure of q_i^s at the working precision, the same bits as
+        ``ipow(self.q(i), s)``.
+
+        Memoized per (spec, i, s, precision) in a least-recently-used memo of
+        4096 entries; a scan over more indices than that gets no hits.
+        """
+        return _weight_power(self, i, s, iv.prec)
+
+    def weights_nonincreasing_from(self, k: int) -> bool:
+        """Whether q_k >= q_{k+1} >= ... is known without a scan: always for
+        the geometric, Lüroth and power-law families, and past the user
+        entries for a custom list, whose geometric pad halves each step."""
+        return self.family != "custom" or k >= len(self.weights)
+
     def head_sum(self, n: int) -> Num:
         """sum_{i<n} q_i; zero at n=0, monotone in n."""
         if n < 0:
@@ -212,7 +236,7 @@ class QVectorSpec:
             if b is not None and b - a + 1 <= _LUR_DIRECT:
                 total = to_iv(0)
                 for i in range(a, b + 1):
-                    total = total + ipow(Fraction(1, (i + 1) * (i + 2)), s)
+                    total = total + self.weight_power(i, s)
                 return total
             # exact head, then squeeze (i+1)(i+2) between (i+3/2)^2 (1 - z)
             # and (i+3/2)^2; pushing the squeeze start out keeps it sharp
@@ -225,11 +249,10 @@ class QVectorSpec:
             c = self._norm_const()
             bb = None if b is None else b + 1
             return ipow(c, s) * powsum(self.m0 * s, Fraction(0), a + 1, bb)
-        eff = self._effective_weights()
-        k = len(eff)
+        k = len(self.weights)
         total = to_iv(0)
         for i in range(a, min(k, b + 1 if b is not None else k)):
-            total = total + ipow(eff[i], s)
+            total = total + self.weight_power(i, s)
         pad_from = max(a, k)
         if b is None or b >= k:
             u = ipow(Fraction(1, 2), s)

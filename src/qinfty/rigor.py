@@ -114,9 +114,17 @@ def workprec(bits: int = DEFAULT_PREC):
 def to_iv(x) -> "iv.mpf":
     """Enclose an int, Fraction, or iv value; ivs pass through."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return iv.mpf(x.numerator)
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+        p, q = x.numerator, x.denominator
+        if q == 1:
+            return iv.mpf(p)
+        prec = iv.prec
+        if p.bit_length() <= prec and q.bit_length() <= prec:
+            # both lift exactly, so this is the interval division's result
+            return iv.make_mpf((
+                libmp.from_rational(p, q, prec, libmp.round_floor),
+                libmp.from_rational(p, q, prec, libmp.round_ceiling),
+            ))
+        return iv.mpf(p) / iv.mpf(q)
     return iv.mpf(x)
 
 

@@ -8,6 +8,8 @@ summation, independent of the search code.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -142,6 +144,66 @@ def _fraction_violation_window(spec, alpha, delta, k, N):
         lambda M: lower(spec.power_sum(alpha, k, k + M)) > bound,
         max(N + 1, cantor._LINEAR_M_CAP + 1), cantor._INDEX_CAP, NoViolationError(),
     )
+
+
+# sha256 of the canonical JSON of the depth-3 build, recorded before the
+# linear-scan skip and the weight-power memo
+_BUILT3_SHA256 = "a1afd5354ad3940a430af8bef8ef762c0054a78c8198b55acc149ef0f5d801be"
+
+
+def test_depth3_build_pinned():
+    doc = json.dumps(built3().to_json(), sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(doc).hexdigest() == _BUILT3_SHA256
+
+
+def _record_scans(monkeypatch) -> list:
+    """Offsets of the linear window scans cantor runs from now on."""
+    scanned = []
+    scan = cantor.window_scan
+
+    def spy(spec, k, *rest):
+        scanned.append(k)
+        return scan(spec, k, *rest)
+
+    monkeypatch.setattr(cantor, "window_scan", spy)
+    return scanned
+
+
+def test_linear_scan_skipped_on_levels_2_and_3_only(monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    spec = build_cantor(PL2, ALPHA, DELTA, HALF_L, eps_first=Fraction(1, 1000), N=10, depth=3)
+    assert spec.levels == built3().levels
+    assert scanned == [623]
+    with workprec(96):
+        skips = [cantor._linear_scan_cannot_violate(PL2, ALPHA, ALPHA - DELTA, lvl.k, 11)
+                 for lvl in spec.levels]
+    assert skips == [False, True, True]
+
+
+def test_custom_non_monotone_head_never_skips(monkeypatch):
+    spec = QVectorSpec.custom([Fraction(1, 8), Fraction(1, 2), Fraction(3, 8)])
+    scanned = _record_scans(monkeypatch)
+    with workprec(96):
+        for k in range(len(spec.weights)):
+            assert not cantor._linear_scan_cannot_violate(spec, ALPHA, ALPHA - DELTA, k, 1)
+        assert [cantor._minimal_violation_window(spec, ALPHA, DELTA, k, 0) for k in (0, 1)] == [1, 1]
+    assert scanned == [0, 1]
+
+
+@pytest.mark.parametrize("spec", [PL2, GEO, QVectorSpec.luroth()], ids=["powerlaw2", "geometric", "luroth"])
+def test_skip_only_where_no_scanned_cell_violates(monkeypatch, spec):
+    # with a short linear scan the skip fires at small offsets, where every
+    # cell it rules out can be scanned
+    monkeypatch.setattr(cantor, "_LINEAR_M_CAP", 40)
+    alpha, expo, m_min = ALPHA, ALPHA - DELTA, 3
+    fired = 0
+    with workprec(96):
+        for k in [10, 100, 1000, 3000, 10**4, 3 * 10**4, 10**5, 10**6]:
+            if cantor._linear_scan_cannot_violate(spec, alpha, expo, k, m_min):
+                fired += 1
+                for _, lhs, rhs in cantor.window_scan(spec, k, alpha, expo, m_min, 40):
+                    assert rigor.decide_le(rhs, lhs) is True
+    assert fired >= 2
 
 
 def test_built_levels_match_fraction_cell_loop(monkeypatch):

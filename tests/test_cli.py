@@ -254,8 +254,11 @@ def test_errors_exit_one(qvec_files, tmp_path, capsys):
         ["decode", "--digits", "[1.5]"],
         ["cover", "--a", "digits:7", "--b", "end", "--alpha", "1/2", "--delta", "1/5"],
         ["encode", "--x", "1/0", "--depth", "3"],
+        ["decode", "--digits", "{}"],
+        ["cover", "--a", 'digits:{"1": 2}', "--b", "end", "--alpha", "1/2", "--delta", "1/5"],
     ],
-    ids=["decode-scalar-digits", "decode-float-digit", "cover-scalar-digits", "encode-zero-denominator"],
+    ids=["decode-scalar-digits", "decode-float-digit", "cover-scalar-digits", "encode-zero-denominator",
+         "decode-object-digits", "cover-object-digits"],
 )
 def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv):
     rc = main(argv[:1] + ["--qvec", qvec_files["luroth"]] + argv[1:])

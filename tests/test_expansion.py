@@ -62,6 +62,25 @@ def test_digit_words_reject_non_integers(digits):
         CylinderAddress.of(digits)
 
 
+@pytest.mark.parametrize(
+    "digits",
+    [{3, 1}, {}, {1: 2}, range(3), (d for d in (1, 2)), "12", b"\x01"],
+    ids=["set", "empty-dict", "dict", "range", "generator", "str", "bytes"],
+)
+def test_digit_words_are_lists_or_tuples_only(digits):
+    # an unordered container has no digit order; a one-shot iterator is not a word
+    with pytest.raises(ParameterRangeError, match="list or tuple"):
+        QRational.of(digits)
+    with pytest.raises(ParameterRangeError, match="list or tuple"):
+        CylinderAddress.of(digits)
+
+
+def test_digit_word_list_and_tuple_agree():
+    assert QRational.of([3, 1, 0]) == QRational.of((3, 1))
+    assert CylinderAddress.of([3, 1]) == CylinderAddress.of((3, 1))
+    assert CylinderAddress.of([]).digits == ()
+
+
 def test_lexicographic_order_examples():
     assert QRational.of((1, 2)) < QRational.of((2,))
     assert QRational.of((1,)) < QRational.of((1, 1))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qinfty import faithfulness
+from qinfty import faithfulness, qvector
 from qinfty.errors import ParameterRangeError, QinftyError, Undecided
 from qinfty.faithfulness import (
     CSV_HEADER,
@@ -361,3 +361,18 @@ def test_verdict_matches_fraction_cell_loop(monkeypatch, bits, spec, query):
     verdict = check_condition(spec, query, prec=bits).to_json()
     monkeypatch.setattr(faithfulness, "_check_row", _fraction_check_row)
     assert check_condition(spec, query, prec=bits).to_json() == verdict
+
+
+def _unmemoized_weight_power(self, i, s):
+    """QVectorSpec.weight_power without its memo: the power each cell took before."""
+    return ipow(self.q(i), s)
+
+
+def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch):
+    query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 20, 200)
+    qvector._weight_power.cache_clear()
+    cold = check_condition(LUR, query).to_json()
+    warm = check_condition(LUR, query).to_json()
+    monkeypatch.setattr(QVectorSpec, "weight_power", _unmemoized_weight_power)
+    assert cold == warm == check_condition(LUR, query).to_json()
+    assert cold["outcome"] == HOLDS and len(cold["margins"]) == 3

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
+from qinfty import qvector
 from qinfty.errors import CapacityError, ParameterRangeError
 from qinfty.expansion import CylinderAddress, decode
 from qinfty.qvector import QVectorSpec
-from qinfty.rigor import contains_value, enclosure_width, lower, upper, workprec
+from qinfty.rigor import contains_value, enclosure_width, hull, ipow, lower, powsum, to_iv, upper, workprec
 
 
 LUR = QVectorSpec.luroth()
@@ -221,6 +222,83 @@ def test_power_sum_custom_oracle():
     with workprec(96):
         full = CUSTOM.power_sum(Fraction(1, 2), 0)
         assert _near(full, _dec("1.69506229692214355136309647666"), Fraction(1, 10**20))
+
+
+def _old_luroth_direct(s, a, b):
+    """Luroth's direct power-sum loop before it read the weight-power memo."""
+    total = to_iv(0)
+    for i in range(a, b + 1):
+        total = total + ipow(Fraction(1, (i + 1) * (i + 2)), s)
+    return total
+
+
+def _old_luroth_power_sum(s, a, b=None):
+    if b is not None and b - a + 1 <= 600:
+        return _old_luroth_direct(s, a, b)
+    head = _old_luroth_direct(s, a, a + 599)
+    start = a + 600
+    base = powsum(2 * s, Fraction(3, 2), start, b)
+    z = Fraction(1, (2 * start + 3) ** 2)
+    return head + hull(base, base * ipow(1 - z, -s))
+
+
+def _old_custom_power_sum(spec, s, a, b=None):
+    """The custom branch of power_sum before its head read the memo."""
+    eff = spec._effective_weights()
+    k = len(eff)
+    total = to_iv(0)
+    for i in range(a, min(k, b + 1 if b is not None else k)):
+        total = total + ipow(eff[i], s)
+    pad_from = max(a, k)
+    if b is None or b >= k:
+        u = ipow(Fraction(1, 2), s)
+        first = ipow(spec.pad_mass * Fraction(1, 2 ** (pad_from - k + 1)), s)
+        if b is None:
+            total = total + first / (1 - u)
+        else:
+            total = total + first * (1 - ipow(u, b - pad_from + 1)) / (1 - u)
+    return total
+
+
+_SHUFFLED = QVectorSpec.custom([Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+
+
+@pytest.mark.parametrize("bits", [53, 96, 192])
+@pytest.mark.parametrize("s", [Fraction(9, 10), Fraction(2, 5), Fraction(3, 2)])
+def test_power_sums_same_with_cold_and_warm_weight_power_memo(bits, s):
+    ranges = [(0, 0), (3, 40), (100, 699), (20, 1500), (7, None)]
+    with workprec(bits):
+        for a, b in ranges:
+            if b is None and not LUR.power_tail_converges(s):
+                continue
+            qvector._weight_power.cache_clear()
+            cold = LUR.power_sum(s, a, b)._mpi_
+            assert LUR.power_sum(s, a, b)._mpi_ == cold
+            assert _old_luroth_power_sum(s, a, b)._mpi_ == cold
+        for spec in (CUSTOM, _SHUFFLED):
+            for a, b in [(0, 1), (1, 2), (0, 9), (2, None), (5, None)]:
+                qvector._weight_power.cache_clear()
+                cold = spec.power_sum(s, a, b)._mpi_
+                assert spec.power_sum(s, a, b)._mpi_ == cold
+                assert _old_custom_power_sum(spec, s, a, b)._mpi_ == cold
+
+
+@pytest.mark.parametrize("spec", [LUR, GEO3, PL2, _SHUFFLED], ids=["luroth", "geometric", "powerlaw2", "custom"])
+def test_weight_power_is_ipow_of_the_weight(spec):
+    for bits in (53, 96):
+        with workprec(bits):
+            for i in (0, 1, 3, 4, 50):
+                assert spec.weight_power(i, Fraction(2, 5))._mpi_ == ipow(spec.q(i), Fraction(2, 5))._mpi_
+
+
+def test_weights_nonincreasing_from():
+    for spec in (LUR, GEO, GEO3):
+        assert all(spec.weights_nonincreasing_from(k) for k in range(5))
+        assert all(spec.q(i) >= spec.q(i + 1) for i in range(40))
+    assert PL2.weights_nonincreasing_from(0)
+    # a custom list is only known to decrease along its geometric pad
+    assert [_SHUFFLED.weights_nonincreasing_from(k) for k in range(6)] == [False] * 4 + [True] * 2
+    assert all(_SHUFFLED.q(i) > _SHUFFLED.q(i + 1) for i in range(4, 40))
 
 
 def test_power_sum_divergent_raises():

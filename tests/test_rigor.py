@@ -312,6 +312,7 @@ def test_memo_caches_are_bounded():
         covering._kappa_cached,
         covering._tail_partition,
         rigor._exponent,
+        qvector._weight_power,
     ):
         assert cached.cache_info().maxsize is not None
 
@@ -411,6 +412,41 @@ def test_ipow_fractional_power_of_enclosure_below_zero_raises():
         # integer exponents keep their path and are defined there
         assert contains_value(ipow(straddle, Fraction(2)), Fraction(1, 9))
         assert contains_value(ipow(straddle, 3), Fraction(-1, 2**60))
+
+
+# --- direct rational lift --------------------------------------------------------
+
+def _old_to_iv(x: Fraction):
+    """to_iv of a Fraction as it was before narrow rationals were lifted
+    directly: two point lifts and an interval division."""
+    if x.denominator == 1:
+        return iv.mpf(x.numerator)
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+_LIFT_BITS = st.sampled_from([16, 53, 64, 96, 384])
+# narrow parts take the direct lift at every tested precision, wide ones
+# the fallback at all but 384 bits, and the widest the fallback at 384 too
+_LIFT_PARTS = st.one_of(
+    st.integers(1, 2**15), st.integers(1, 2**100), st.integers(2**383, 2**400)
+)
+
+
+@settings(deadline=None)
+@given(_LIFT_BITS, _LIFT_PARTS, _LIFT_PARTS, st.booleans())
+def test_direct_rational_lift_matches_interval_division(bits, p, q, negative):
+    x = Fraction(-p if negative else p, q)
+    with workprec(bits):
+        assert to_iv(x)._mpi_ == _old_to_iv(x)._mpi_
+
+
+@pytest.mark.parametrize("bits", [16, 53, 64, 96, 384])
+def test_direct_rational_lift_at_the_width_boundary(bits):
+    edge = 2**bits - 1  # the widest part that lifts directly
+    with workprec(bits):
+        for p, q in [(edge, edge - 2), (edge + 2, 3), (1, edge + 2), (-edge, 7), (-(edge + 2), edge)]:
+            x = Fraction(p, q)
+            assert to_iv(x)._mpi_ == _old_to_iv(x)._mpi_
 
 
 # --- the escalation rule ------------------------------------------------------
