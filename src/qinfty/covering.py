@@ -397,14 +397,17 @@ def _emit_tail_blocks(
     """Blocks for one partitioned tail until the leftover fits the budget.
 
     The leftover [left(prefix.next digit), right(prefix)) comes back as
-    outer rational bounds, in a list of zero or one pairs.
+    outer rational bounds, in a list of zero or one pairs.  Left points
+    extend one decode of the prefix by the last step of ``decode``'s loop,
+    so each has the bits of a full decode of ``prefix.child(start)``.
     """
     right = upper(_point_value(spec, right_end(job.prefix)))
+    cyl = decode(spec, job.prefix)
     blocks: list[Block] = []
     while True:
         m = len(blocks)
         start = job.start_digit + (part.boundary(m) + 1 if m else 0)
-        left = lower(_left_point(job.prefix.child(start)).value(spec))
+        left = lower(cyl.left + cyl.length * spec.head_sum(start))
         if right - left <= budget:
             return blocks, [(left, right)] if right > left else []
         blocks.append(job.block(part, m))

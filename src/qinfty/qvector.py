@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from mpmath import iv
@@ -110,10 +111,15 @@ class QVectorSpec:
         """Power-law normalizer 1/zeta(m0) as an enclosure."""
         return 1 / _zeta_enclosure(self.m0, iv.prec)
 
+    @cached_property
     def _effective_weights(self) -> tuple[Fraction, ...]:
-        ws = list(self.weights)
-        ws[-1] -= self.pad_mass
-        return tuple(ws)
+        """Custom family: the user weights, pad mass carved out of the last."""
+        return self.weights[:-1] + (self.weights[-1] - self.pad_mass,)
+
+    @cached_property
+    def _custom_tails(self) -> tuple[Fraction, ...]:
+        """Custom family: entry n is sum(eff[n:]) + pad_mass for n <= len(weights)."""
+        return tuple(accumulate(reversed(self._effective_weights), initial=self.pad_mass))[::-1]
 
     # -- the four point queries ---------------------------------------
 
@@ -127,7 +133,7 @@ class QVectorSpec:
             return Fraction(1, (i + 1) * (i + 2))
         if self.family == "powerlaw":
             return self._norm_const() * ipow(i + 1, -self.m0)
-        eff = self._effective_weights()
+        eff = self._effective_weights
         k = len(eff)
         if i < k:
             return eff[i]
@@ -172,11 +178,10 @@ class QVectorSpec:
             return Fraction(1, n + 1)
         if self.family == "powerlaw":
             return self._norm_const() * powsum(self.m0, Fraction(0), n + 1, None)
-        eff = self._effective_weights()
-        k = len(eff)
+        k = len(self.weights)
         if n >= k:
             return self.pad_mass * Fraction(1, 2 ** (n - k))
-        return sum(eff[n:]) + self.pad_mass
+        return self._custom_tails[n]
 
     def range_sum(self, a: int, b: int) -> Num:
         """sum_{i=a}^{b} q_i (empty when b < a)."""

@@ -288,7 +288,11 @@ def num_to_json(x: Num):
 # ---------------------------------------------------------------------------
 # Power sums  sum_{j=a}^{b} (j+o)^(-p)  with rigorous brackets.
 #
-# Small ranges are summed term by term.  Long and infinite ranges use
+# Three paths.  A range that starts at the positivity threshold and ends
+# below _EM_START + _DIRECT_RANGE reads the shared prefix cache, which adds
+# the same terms in the same order as a direct loop, so it has the same
+# bits.  Other short ranges are summed term by term, since a difference of
+# two prefixes would be wider.  Long and infinite ranges use
 # Euler-Maclaurin through the B_8 term; since every even derivative of
 # x^(-p) keeps one sign, the remainder is bounded by the magnitude of the
 # first omitted term, which we widen symmetrically.
@@ -337,11 +341,8 @@ def _cum(p: Fraction, o: Fraction, j: int) -> "iv.mpf":
 
 
 def _cached_range(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
-    start = _cache_start(o)
-    if a < start:
-        raise ValueError("range extends below the positivity threshold")
     hi = _cum(p, o, b)
-    if a == start:
+    if a == _cache_start(o):
         return hi
     return hi - _cum(p, o, a - 1)
 
@@ -398,6 +399,8 @@ def powsum(p: Fraction, offset: Fraction, a: int, b: Optional[int] = None) -> "i
         return _cached_range(p, offset, a, _EM_START - 1) + _em_core(p, offset, _EM_START, None)
     if b < a:
         return to_iv(0)
+    if a == _cache_start(offset) and b < _EM_START + _DIRECT_RANGE:
+        return _cum(p, offset, b)
     if b - a + 1 <= _DIRECT_RANGE:
         return _direct_sum(p, offset, a, b)
     if a >= _EM_START:

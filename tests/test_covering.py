@@ -470,3 +470,36 @@ def test_partition_boundaries_pinned_to_build_precision():
         expected = [inside.boundary(k) for k in range(1, 9)]
     assert ambient.prec == 96
     assert [ambient.boundary(k) for k in range(1, 9)] == expected
+
+
+def _left_point_reference(spec, prefix: CylinderAddress, start: int) -> Fraction:
+    """A group's left point as _emit_tail_blocks computed it before it
+    extended one prefix decode: a full decode of the zero-stripped word."""
+    return lower(QRational.of(prefix.digits + (start,)).value(spec))
+
+
+@pytest.mark.parametrize("bits", [16, 32, 96])
+@pytest.mark.parametrize("spec", [LUR, GEO, PL2], ids=["luroth", "geometric", "powerlaw2"])
+def test_tail_left_points_extend_one_prefix_decode(spec, bits):
+    # partitions search at their build precision, so 96-bit ones also serve
+    # the 16-bit rung, where powerlaw searches are undecided; budgets shrink
+    # with the precision so that each leftover can get below its budget
+    with workprec(96):
+        parts = {d: covering._tail_partition(spec, d, Fraction(1, 2), 96) for d in (0, 1, 4)}
+    checked = 0
+    with workprec(bits):
+        for prefix in [(), (0,), (2, 0), (1, 0, 0), (3, 1)]:
+            addr = CylinderAddress.of(prefix)
+            for start_digit, part in parts.items():
+                job = covering._TailJob(1, addr, start_digit)
+                for budget in (Fraction(1), Fraction(1, 2 ** (bits // 8)), Fraction(1, 2 ** (bits // 4))):
+                    blocks, leftover = covering._emit_tail_blocks(spec, job, part, budget)
+                    m = len(blocks)
+                    start = start_digit + (part.boundary(m) + 1 if m else 0)
+                    assert [blk.first for blk in blocks] == [
+                        start_digit + (part.boundary(i) + 1 if i else 0) for i in range(m)
+                    ]
+                    if leftover:
+                        assert leftover[0][0] == _left_point_reference(spec, addr, start)
+                        checked += 1
+    assert checked > 30

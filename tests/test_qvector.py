@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,28 @@ def test_custom_weights_and_pad():
     assert CUSTOM.q(3) == pad / 2
     assert CUSTOM.q(4) == pad / 4
     assert sum(CUSTOM.q(i) for i in range(3)) + CUSTOM.tail_sum(3) == 1
+
+
+def test_custom_sums_match_brute_force_fraction_sums():
+    rng = random.Random(7)
+    raw = [rng.randint(1, 1000) for _ in range(1999)] + [1000]
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    pad = Fraction(1, 2**20)
+    spec = QVectorSpec.custom(weights, pad)
+    k = len(weights)
+    brute = weights[:-1] + [weights[-1] - pad] + [pad / 2 ** (i - k + 1) for i in range(k, k + 6)]
+    head = Fraction(0)
+    for n, w in enumerate(brute):
+        assert spec.q(n) == w
+        assert spec.head_sum(n) == head
+        assert spec.tail_sum(n) == 1 - head
+        head += w
+    for n in (0, 1, 999, k - 1, k, k + 3):
+        assert spec.tail_sum(n) == sum(brute[n:k]) + pad / 2 ** max(n - k, 0)
+        assert spec.range_sum(n, k + 2) == sum(brute[n : k + 3])
+    # the cached tables take no part in equality or hashing (memo keys)
+    assert QVectorSpec.custom(weights, pad) == spec
+    assert hash(QVectorSpec.custom(weights, pad)) == hash(spec)
 
 
 def test_powerlaw_weight_enclosure():
@@ -244,7 +267,7 @@ def _old_luroth_power_sum(s, a, b=None):
 
 def _old_custom_power_sum(spec, s, a, b=None):
     """The custom branch of power_sum before its head read the memo."""
-    eff = spec._effective_weights()
+    eff = spec._effective_weights
     k = len(eff)
     total = to_iv(0)
     for i in range(a, min(k, b + 1 if b is not None else k)):

@@ -303,6 +303,55 @@ def test_cum_cache_keeps_at_most_its_key_bound():
         assert rigor._cum(p, offsets[0], 5)._mpi_ == first._mpi_
 
 
+def _direct_sum_reference(p: Fraction, o: Fraction, a: int, b: int):
+    """The term-by-term loop powsum ran on every short range before
+    start-anchored ranges read the prefix cache."""
+    p_iv = to_iv(p)
+    total = to_iv(0)
+    for j in range(a, b + 1):
+        total = total + to_iv(j + o) ** (-p_iv)
+    return total
+
+
+_PREFIX_END = rigor._EM_START + rigor._DIRECT_RANGE
+
+
+def _assert_prefix_lists_bounded():
+    for (_, o, _), arr in rigor._cum_cache.items():
+        assert len(arr) <= _PREFIX_END - rigor._cache_start(o)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    p=st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(5, 2), Fraction(3)]),
+    o=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]),
+    bits=st.sampled_from([16, 53, 96, 192]),
+    data=st.data(),
+)
+def test_start_anchored_powsum_is_bit_identical_to_the_direct_loop(p, o, bits, data):
+    start = rigor._cache_start(o)
+    b = data.draw(st.integers(start, _PREFIX_END - 1), label="b")
+    with workprec(bits):
+        expected = _direct_sum_reference(p, o, start, b)._mpi_
+        rigor._cum_cache.pop((p, o, bits), None)
+        assert powsum(p, o, start, b)._mpi_ == expected  # cold
+        powsum(p, o, start, None)  # fills the prefix through _EM_START - 1
+        assert powsum(p, o, start, b)._mpi_ == expected  # warm
+        powsum(p, o, start, 10**6)
+        _assert_prefix_lists_bounded()
+
+
+def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
+    with workprec(53):
+        for o in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)):
+            start = rigor._cache_start(o)
+            powsum(Fraction(2), o, start, _PREFIX_END - 1)
+            for a, b in ((start, _PREFIX_END), (start, 10**6), (start, None), (start + 5, 10**9)):
+                powsum(Fraction(2), o, a, b)
+            assert len(rigor._cum_cache[(Fraction(2), o, 53)]) == _PREFIX_END - start
+    _assert_prefix_lists_bounded()
+
+
 def test_memo_caches_are_bounded():
     from qinfty import covering, qvector
 
