@@ -67,6 +67,8 @@ class CantorLevel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CantorLevel":
+        if not isinstance(doc, dict):
+            raise ParameterRangeError(f"Cantor level must be a JSON object, got {type(doc).__name__}")
         return cls(
             k=int(doc["k"]),
             M=int(doc["M"]),
@@ -154,6 +156,8 @@ class CantorSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CantorSpec":
+        if not isinstance(doc, dict) or not isinstance(doc.get("levels", []), list):
+            raise ParameterRangeError("Cantor spec must be a JSON object whose levels are a list")
         return cls(
             qvec=QVectorSpec.from_json(doc["qvec"]),
             alpha=rigor.parse_frac(doc["alpha"]),

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from mpmath import iv
@@ -67,9 +66,6 @@ class Block:
     @property
     def rank(self) -> int:
         return self.prefix.rank + 1
-
-    def count(self) -> int:
-        return self.last - self.first + 1
 
     def to_json(self) -> dict:
         return {"prefix": self.prefix.to_json(), "first": self.first, "last": self.last}
@@ -244,17 +240,25 @@ def lemma1_partition(stream: TailStream, alpha: Fraction) -> Lemma1Partition:
     return Lemma1Partition(stream, alpha)
 
 
-@lru_cache(maxsize=256)
-def _tail_partition(spec: QVectorSpec, offset: int, alpha: Fraction, prec: int) -> Lemma1Partition:
-    """The partition of spec's weights from index ``offset`` on, shared by
-    every cover that needs it; ``prec`` must be the current ``iv.prec``."""
+@rigor.memo(256)
+def _tail_partition(spec: QVectorSpec, offset: int, alpha: Fraction) -> Lemma1Partition:
+    """The partition of spec's weights from index ``offset`` on at the working
+    precision, shared by every cover that needs it."""
     return lemma1_partition(TailStream.from_qvector(spec, offset), alpha)
 
 
 # --- the covering constant ----------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _kappa_cached(spec: QVectorSpec, alpha: Fraction, delta: Fraction, prec: int):
+@rigor.memo(256)
+def kappa(spec: QVectorSpec, alpha: Fraction, delta: Fraction) -> tuple[Num, Num]:
+    """Enclosures of W(delta) and K(alpha, delta); upper endpoints are the bounds.
+
+    W(delta) = sup over integer s >= 1 of s * qmax^(delta*s/2), and
+    K = 1 + q0^(-alpha) + 2 W / ((1 - qmax^(delta/2)) * qmax^(delta/2)).
+    """
+    alpha, delta = Fraction(alpha), Fraction(delta)
+    if not 0 < delta < alpha < 1:
+        raise ParameterRangeError("need 0 < delta < alpha < 1")
     qmax = spec.max_weight()
     c = ipow(qmax, delta / 2)
     if not upper(c) < 1:
@@ -269,18 +273,6 @@ def _kappa_cached(spec: QVectorSpec, alpha: Fraction, delta: Fraction, prec: int
     w = best
     k = 1 + ipow(spec.q(0), -alpha) + 2 * w / ((1 - c) * c)
     return w, k
-
-
-def kappa(spec: QVectorSpec, alpha: Fraction, delta: Fraction) -> tuple[Num, Num]:
-    """Enclosures of W(delta) and K(alpha, delta); upper endpoints are the bounds.
-
-    W(delta) = sup over integer s >= 1 of s * qmax^(delta*s/2), and
-    K = 1 + q0^(-alpha) + 2 W / ((1 - qmax^(delta/2)) * qmax^(delta/2)).
-    """
-    alpha, delta = Fraction(alpha), Fraction(delta)
-    if not 0 < delta < alpha < 1:
-        raise ParameterRangeError("need 0 < delta < alpha < 1")
-    return _kappa_cached(spec, alpha, delta, iv.prec)
 
 
 # --- certificates --------------------------------------------------------------
@@ -492,7 +484,7 @@ def _cover_once(
 
     lazy = params.mode == MODE_LAZY_STREAM
     budget = params.eps_res / ell
-    partitions = [(job, _tail_partition(spec, job.start_digit, alpha, iv.prec)) for job in jobs]
+    partitions = [(job, _tail_partition(spec, job.start_digit, alpha)) for job in jobs]
 
     residuals: list[tuple[Fraction, Fraction]] = []
     rank_heads: list[tuple[int, Block]] = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from mpmath import iv
@@ -177,9 +178,12 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
     # cells compare and subtract on exact mpf endpoints; the row minimum
     # becomes a Fraction once, and a violation's bounds only when it is found
+    converges = spec.power_tail_converges(alpha)
+    # zero or one limit cell, after the finite ones and built only once they all pass
+    limit = ((None, _lhs(spec, n, None, expo), _rhs(spec, n, None, alpha)) for _ in range(converges))
     margin = None
     undecided = False
-    for M, lhs, rhs in window_scan(spec, n, alpha, expo, m_min, query.M_max):
+    for M, lhs, rhs in chain(window_scan(spec, n, alpha, expo, m_min, query.M_max), limit):
         if rigor.decide_lt(lhs, rhs):
             raise _Violation(n, M, upper(lhs), lower(rhs))
         cell = rigor.gap(lhs, rhs)
@@ -187,20 +191,9 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
             undecided = True
         elif margin is None or cell < margin:
             margin = cell
-
-    lhs_inf = _lhs(spec, n, None, expo)
-    if spec.power_tail_converges(alpha):
-        rhs_inf = _rhs(spec, n, None, alpha)
-        if rigor.decide_lt(lhs_inf, rhs_inf):
-            raise _Violation(n, None, upper(lhs_inf), lower(rhs_inf))
-        cell = rigor.gap(lhs_inf, rhs_inf)
-        if cell < 0:
-            undecided = True
-        elif margin is None or cell < margin:
-            margin = cell
-    else:
-        partial = _certify_divergent_limit(spec, n, alpha, upper(lhs_inf), query.M_max)
-        raise _Violation(n, None, upper(lhs_inf), partial)
+    if not converges:
+        lhs_up = upper(_lhs(spec, n, None, expo))
+        raise _Violation(n, None, lhs_up, _certify_divergent_limit(spec, n, alpha, lhs_up, query.M_max))
 
     if undecided:
         return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -34,15 +34,9 @@ _LUR_DIRECT = 600
 _WEIGHT_POWERS = 4096
 
 
-@lru_cache(maxsize=64)
-def _zeta_enclosure(m0: Fraction, prec: int):
+@rigor.memo(64)
+def _zeta_enclosure(m0: Fraction):
     return powsum(m0, Fraction(0), 1, None)
-
-
-@lru_cache(maxsize=_WEIGHT_POWERS)
-def _weight_power(spec: "QVectorSpec", i: int, s: Fraction, prec: int):
-    """Enclosure of q_i^s at ``prec``, which must be the current ``iv.prec``."""
-    return ipow(spec.q(i), s)
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ class QVectorSpec:
 
     def _norm_const(self):
         """Power-law normalizer 1/zeta(m0) as an enclosure."""
-        return 1 / _zeta_enclosure(self.m0, iv.prec)
+        return 1 / _zeta_enclosure(self.m0)
 
     @cached_property
     def _effective_weights(self) -> tuple[Fraction, ...]:
@@ -139,6 +133,7 @@ class QVectorSpec:
             return eff[i]
         return self.pad_mass * Fraction(1, 2 ** (i - k + 1))
 
+    @rigor.memo(_WEIGHT_POWERS)
     def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
         """Enclosure of q_i^s at the working precision, the same bits as
         ``ipow(self.q(i), s)``.
@@ -146,7 +141,7 @@ class QVectorSpec:
         Memoized per (spec, i, s, precision) in a least-recently-used memo of
         4096 entries; a scan over more indices than that gets no hits.
         """
-        return _weight_power(self, i, s, iv.prec)
+        return ipow(self.q(i), s)
 
     def weights_nonincreasing_from(self, k: int) -> bool:
         """Whether q_k >= q_{k+1} >= ... is known without a scan: always for
@@ -286,6 +281,8 @@ class QVectorSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "QVectorSpec":
+        if not isinstance(doc, dict):
+            raise ParameterRangeError(f"q-vector config must be a JSON object, got {type(doc).__name__}")
         fam = doc.get("family")
         if fam == "geometric":
             return cls.geometric(rigor.parse_frac(str(doc["ratio"])))

@@ -13,6 +13,8 @@ exactly, so comparisons between two enclosures run on the raw endpoints;
 a ``Fraction`` is built only where a bound is reported or an exact value
 takes part.  A step left undecided at the working precision raises
 ``Undecided``, and :func:`escalate` retries it on the next rung of :func:`ladder`.
+Every bounded memo of the package is a :func:`memo`, keyed by the working
+precision, so a value cached at one precision is never served at another.
 
 mpmath's interval context is process-global, so all precision-sensitive
 regions are serialized behind one lock.  Callers get thread safety at the
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial, floor
 from typing import Callable, Optional, TypeVar, Union
 
@@ -48,6 +49,26 @@ _DIRECT_RANGE = 600
 
 _B2K = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30)]
 _B10 = Fraction(5, 66)
+
+
+MEMOS: list = []  # every memo made by :func:`memo`, for clearing and hit counts
+
+
+def memo(maxsize: int):
+    """Least-recently-used memo of at most ``maxsize`` results, keyed by
+    ``iv.prec`` and the positional arguments; the wrapper keeps
+    ``cache_info`` and ``cache_clear``, and joins :data:`MEMOS`."""
+    def wrap(fn):
+        cached = lru_cache(maxsize)(lambda prec, *args: fn(*args))
+
+        @wraps(fn)
+        def at_prec(*args):
+            return cached(iv.prec, *args)
+
+        at_prec.cache_info, at_prec.cache_clear = cached.cache_info, cached.cache_clear
+        MEMOS.append(at_prec)
+        return at_prec
+    return wrap
 
 
 def ladder(start: int) -> tuple[int, int, int]:
@@ -227,9 +248,9 @@ def contains_value(x: Num, v: Fraction) -> bool:
     return a <= v <= b
 
 
-@lru_cache(maxsize=256)
-def _exponent(num: int, den: int, prec: int) -> "iv.mpf":
-    """Enclosure of num/den at ``prec``, which must be the current ``iv.prec``."""
+@memo(256)
+def _exponent(num: int, den: int) -> "iv.mpf":
+    """Enclosure of num/den at the working precision."""
     return to_iv(Fraction(num, den))
 
 
@@ -244,7 +265,7 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
     if isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1:
         return b ** int(expo)
     if isinstance(expo, Fraction):
-        expo = _exponent(expo.numerator, expo.denominator, iv.prec)
+        expo = _exponent(expo.numerator, expo.denominator)
     if libmp.mpf_sign(b._mpi_[0]) < 0:
         raise Undecided(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
     return b ** expo
@@ -298,11 +319,6 @@ def num_to_json(x: Num):
 # first omitted term, which we widen symmetrically.
 # ---------------------------------------------------------------------------
 
-# Prefix sums per (p, offset, precision), least recently used evicted first.
-_CUM_CACHE_KEYS = 64
-_cum_cache: OrderedDict[tuple, list] = OrderedDict()
-
-
 def _rising(p_iv, m: int):
     acc = to_iv(1)
     for i in range(m):
@@ -323,15 +339,17 @@ def _cache_start(offset: Fraction) -> int:
     return floor(-offset) + 1
 
 
+@memo(64)
+def _prefix(p: Fraction, o: Fraction) -> list:
+    """Prefix sums of (t+o)^(-p) from the canonical start, as far as :func:`_cum` filled them."""
+    return []
+
+
 def _cum(p: Fraction, o: Fraction, j: int) -> "iv.mpf":
     """Cached cumulative sum_{t=start}^{j} (t+o)^(-p) from the canonical start."""
     start = _cache_start(o)
-    key = (p, o, iv.prec)
     with _LOCK:
-        arr = _cum_cache.setdefault(key, [])
-        _cum_cache.move_to_end(key)
-        if len(_cum_cache) > _CUM_CACHE_KEYS:
-            _cum_cache.popitem(last=False)
+        arr = _prefix(p, o)
         p_iv = to_iv(p)
         while len(arr) <= j - start:
             t = start + len(arr)
@@ -347,11 +365,11 @@ def _cached_range(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
     return hi - _cum(p, o, a - 1)
 
 
-@lru_cache(maxsize=64)
-def _em_constants(p: Fraction, prec: int):
-    """p's enclosure and the Euler-Maclaurin factors of x^(-p) at ``prec``
-    (the current ``iv.prec``): (coefficient * rising factorial, exponent)
-    for each B_2k term and for the remainder."""
+@memo(64)
+def _em_constants(p: Fraction):
+    """p's enclosure and the Euler-Maclaurin factors of x^(-p) at the working
+    precision: (coefficient * rising factorial, exponent) for each B_2k term
+    and for the remainder."""
     p_iv = to_iv(p)
     terms = tuple(
         (to_iv(Fraction(b2k, factorial(2 * k))) * _rising(p_iv, 2 * k - 1), -p_iv - (2 * k - 1))
@@ -362,7 +380,7 @@ def _em_constants(p: Fraction, prec: int):
 
 
 def _em_core(p: Fraction, o: Fraction, a: int, b: Optional[int]) -> "iv.mpf":
-    p_iv, terms, (rem_c, rem_e) = _em_constants(p, iv.prec)
+    p_iv, terms, (rem_c, rem_e) = _em_constants(p)
     xa = to_iv(a + o)
     if b is None:
         integral = xa ** (1 - p_iv) / (p_iv - 1)

@@ -269,6 +269,34 @@ def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv)
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["decode", "--digits", "[1]", "--qvec"], [1]),
+        (["decode", "--digits", "[1]", "--qvec"], "luroth"),
+        (["cantor", "measure", "--address", "[1]", "--spec"], [1]),
+        (["cantor", "measure", "--address", "[1]", "--spec"], {"qvec": []}),
+        (["cantor", "measure", "--address", "[1]", "--spec"],
+         {"qvec": {"family": "luroth"}, "alpha": "1/2", "delta": "1/5", "L": "1/2", "N": 0,
+          "levels": 5}),
+        (["cantor", "measure", "--address", "[1]", "--spec"],
+         {"qvec": {"family": "luroth"}, "alpha": "1/2", "delta": "1/5", "L": "1/2", "N": 0,
+          "levels": [[1, 2]]}),
+    ],
+    ids=["qvec-list", "qvec-string", "cantor-list", "cantor-qvec-list", "cantor-levels-number",
+         "cantor-level-list"],
+)
+def test_non_object_config_exits_one_with_one_error_line(tmp_path, capsys, argv, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main(argv + [str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_one(qvec_files, capsys):
     assert main(["encode", "--qvec", qvec_files["luroth"]]) == 1
     assert main(["encode", "--qvec", qvec_files["luroth"], "--x", "1/2",

@@ -485,7 +485,7 @@ def test_tail_left_points_extend_one_prefix_decode(spec, bits):
     # the 16-bit rung, where powerlaw searches are undecided; budgets shrink
     # with the precision so that each leftover can get below its budget
     with workprec(96):
-        parts = {d: covering._tail_partition(spec, d, Fraction(1, 2), 96) for d in (0, 1, 4)}
+        parts = {d: covering._tail_partition(spec, d, Fraction(1, 2)) for d in (0, 1, 4)}
     checked = 0
     with workprec(bits):
         for prefix in [(), (0,), (2, 0), (1, 0, 0), (3, 1)]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qinfty import faithfulness, qvector
+from qinfty import faithfulness
 from qinfty.errors import ParameterRangeError, QinftyError, Undecided
 from qinfty.faithfulness import (
     CSV_HEADER,
@@ -370,7 +370,7 @@ def _unmemoized_weight_power(self, i, s):
 
 def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch):
     query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 20, 200)
-    qvector._weight_power.cache_clear()
+    QVectorSpec.weight_power.cache_clear()
     cold = check_condition(LUR, query).to_json()
     warm = check_condition(LUR, query).to_json()
     monkeypatch.setattr(QVectorSpec, "weight_power", _unmemoized_weight_power)

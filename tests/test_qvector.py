@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from qinfty import qvector
 from qinfty.errors import CapacityError, ParameterRangeError
 from qinfty.expansion import CylinderAddress, decode
 from qinfty.qvector import QVectorSpec
@@ -294,13 +293,13 @@ def test_power_sums_same_with_cold_and_warm_weight_power_memo(bits, s):
         for a, b in ranges:
             if b is None and not LUR.power_tail_converges(s):
                 continue
-            qvector._weight_power.cache_clear()
+            QVectorSpec.weight_power.cache_clear()
             cold = LUR.power_sum(s, a, b)._mpi_
             assert LUR.power_sum(s, a, b)._mpi_ == cold
             assert _old_luroth_power_sum(s, a, b)._mpi_ == cold
         for spec in (CUSTOM, _SHUFFLED):
             for a, b in [(0, 1), (1, 2), (0, 9), (2, None), (5, None)]:
-                qvector._weight_power.cache_clear()
+                QVectorSpec.weight_power.cache_clear()
                 cold = spec.power_sum(s, a, b)._mpi_
                 assert spec.power_sum(s, a, b)._mpi_ == cold
                 assert _old_custom_power_sum(spec, s, a, b)._mpi_ == cold

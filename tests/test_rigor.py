@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, libmp, mp
 
-from qinfty import rigor
+from qinfty import QVectorSpec, rigor
 from qinfty.errors import CapacityError, Undecided
 from qinfty.rigor import (
     contains_value,
@@ -292,13 +292,17 @@ def test_em_core_with_cached_constants_is_bit_identical(bits, p, o, a, b):
 
 def test_cum_cache_keeps_at_most_its_key_bound():
     p = Fraction(2)
-    offsets = [Fraction(i, 7) for i in range(rigor._CUM_CACHE_KEYS + 10)]
+    bound = rigor._prefix.cache_info().maxsize
+    offsets = [Fraction(i, 7) for i in range(bound + 10)]
     with workprec(96):
         first = rigor._cum(p, offsets[0], 5)
+        first_prefix = rigor._prefix(p, offsets[0])
         for o in offsets:
             rigor._cum(p, o, 5)
-            assert len(rigor._cum_cache) <= rigor._CUM_CACHE_KEYS
-        assert (p, offsets[0], 96) not in rigor._cum_cache
+            assert rigor._prefix.cache_info().currsize <= bound
+        # the first key was evicted: its prefix list is a new, empty one
+        assert rigor._prefix(p, offsets[0]) is not first_prefix
+        assert rigor._prefix(p, offsets[0]) == []
         # an evicted prefix is rebuilt to the same enclosure
         assert rigor._cum(p, offsets[0], 5)._mpi_ == first._mpi_
 
@@ -316,9 +320,9 @@ def _direct_sum_reference(p: Fraction, o: Fraction, a: int, b: int):
 _PREFIX_END = rigor._EM_START + rigor._DIRECT_RANGE
 
 
-def _assert_prefix_lists_bounded():
-    for (_, o, _), arr in rigor._cum_cache.items():
-        assert len(arr) <= _PREFIX_END - rigor._cache_start(o)
+def _assert_prefix_list_bounded(p: Fraction, o: Fraction):
+    """The prefix list of (p, o) at the working precision stops at _PREFIX_END."""
+    assert len(rigor._prefix(p, o)) <= _PREFIX_END - rigor._cache_start(o)
 
 
 @settings(deadline=None, max_examples=25)
@@ -333,12 +337,12 @@ def test_start_anchored_powsum_is_bit_identical_to_the_direct_loop(p, o, bits, d
     b = data.draw(st.integers(start, _PREFIX_END - 1), label="b")
     with workprec(bits):
         expected = _direct_sum_reference(p, o, start, b)._mpi_
-        rigor._cum_cache.pop((p, o, bits), None)
+        rigor._prefix(p, o).clear()
         assert powsum(p, o, start, b)._mpi_ == expected  # cold
         powsum(p, o, start, None)  # fills the prefix through _EM_START - 1
         assert powsum(p, o, start, b)._mpi_ == expected  # warm
         powsum(p, o, start, 10**6)
-        _assert_prefix_lists_bounded()
+        _assert_prefix_list_bounded(p, o)
 
 
 def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
@@ -348,22 +352,31 @@ def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
             powsum(Fraction(2), o, start, _PREFIX_END - 1)
             for a, b in ((start, _PREFIX_END), (start, 10**6), (start, None), (start + 5, 10**9)):
                 powsum(Fraction(2), o, a, b)
-            assert len(rigor._cum_cache[(Fraction(2), o, 53)]) == _PREFIX_END - start
-    _assert_prefix_lists_bounded()
+            assert len(rigor._prefix(Fraction(2), o)) == _PREFIX_END - start
+            _assert_prefix_list_bounded(Fraction(2), o)
 
 
 def test_memo_caches_are_bounded():
-    from qinfty import covering, qvector
-
-    for cached in (
-        rigor._em_constants,
-        qvector._zeta_enclosure,
-        covering._kappa_cached,
-        covering._tail_partition,
-        rigor._exponent,
-        qvector._weight_power,
-    ):
+    assert len(rigor.MEMOS) == 7
+    for cached in rigor.MEMOS:
         assert cached.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("order", [(53, 96), (96, 53)])
+def test_memos_are_keyed_by_the_working_precision(order):
+    spec = QVectorSpec.luroth()
+    i, s = 7, Fraction(2, 5)
+    rigor._exponent.cache_clear()
+    QVectorSpec.weight_power.cache_clear()
+    seen = []
+    for bits in order:
+        with workprec(bits):
+            # neither memo may serve the value it computed at the other precision
+            assert rigor._exponent(1, 3)._mpi_ == to_iv(Fraction(1, 3))._mpi_
+            power = spec.weight_power(i, s)._mpi_
+            assert power == (to_iv(spec.q(i)) ** to_iv(s))._mpi_
+            seen.append(power)
+    assert seen[0] != seen[1]
 
 
 # --- raw-endpoint comparisons against the Fraction-endpoint definitions ------
