@@ -39,6 +39,13 @@ _INDEX_CAP = 2**200
 _DEPTH_CAP = 4
 
 
+def _json_int(x) -> int:
+    # a bool or float is an error, not an index to round
+    if type(x) is not int:
+        raise ParameterRangeError(f"N, k and M must be JSON integers, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CantorLevel:
     k: int
@@ -54,7 +61,7 @@ class CantorLevel:
             raise ParameterRangeError("gamma enclosure out of order")
 
     def gamma_iv(self):
-        return rigor.hull(to_iv(self.gamma_lo), to_iv(self.gamma_hi))
+        return rigor.hull(self.gamma_lo, self.gamma_hi)
 
     def to_json(self) -> dict:
         return {
@@ -70,8 +77,8 @@ class CantorLevel:
         if not isinstance(doc, dict):
             raise ParameterRangeError(f"Cantor level must be a JSON object, got {type(doc).__name__}")
         return cls(
-            k=int(doc["k"]),
-            M=int(doc["M"]),
+            k=_json_int(doc["k"]),
+            M=_json_int(doc["M"]),
             gamma_lo=rigor.parse_frac(doc["gamma_lo"]),
             gamma_hi=rigor.parse_frac(doc["gamma_hi"]),
             eps=rigor.parse_frac(doc["eps"]),
@@ -163,7 +170,7 @@ class CantorSpec:
             alpha=rigor.parse_frac(doc["alpha"]),
             delta=rigor.parse_frac(doc["delta"]),
             L=rigor.parse_frac(doc["L"]),
-            N=int(doc["N"]),
+            N=_json_int(doc["N"]),
             levels=tuple(CantorLevel.from_json(d) for d in doc["levels"]),
         )
 
@@ -262,6 +269,29 @@ def _certify_level(
     return level, prefix_pow * qvec.power_sum(half, k, k + M)
 
 
+def _assemble(
+    qvec: QVectorSpec, alpha: Fraction, delta: Fraction, L: Fraction,
+    eps_first: Fraction, N: int, depth: int, pick, prec: int,
+) -> CantorSpec:
+    """Certify levels 1..depth in turn and return the spec.
+
+    ``pick(n, eps_n, prefix_pow)`` gives level n's window (k, M): the
+    search of :func:`build_cantor` or a pair given to :func:`assemble_cantor`.
+    """
+    alpha, delta, L, eps_first = (Fraction(x) for x in (alpha, delta, L, eps_first))
+    levels: list[CantorLevel] = []
+    with workprec(prec):
+        prefix_pow = to_iv(1)
+        for n in range(1, depth + 1):
+            eps_n = eps_first / 2 ** (n - 1)
+            k, M = pick(n, eps_n, prefix_pow)
+            level, prefix_pow = _certify_level(
+                qvec, alpha, delta, L, n, eps_n, k, M, prefix_pow
+            )
+            levels.append(level)
+    return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
+
+
 def build_cantor(
     qvec: QVectorSpec,
     alpha: Fraction,
@@ -282,43 +312,27 @@ def build_cantor(
     level's choices depend on all earlier ones only through a scalar
     product, so depth is limited by index growth rather than address counts.
     """
-    alpha, delta, L, eps_first = (
-        Fraction(alpha),
-        Fraction(delta),
-        Fraction(L),
-        Fraction(eps_first),
-    )
+    alpha, delta, L, eps_first = (Fraction(x) for x in (alpha, delta, L, eps_first))
     if not 1 <= depth <= _DEPTH_CAP:
         raise ParameterRangeError(f"depth must lie in 1..{_DEPTH_CAP}")
     if eps_first <= 0:
         raise ParameterRangeError("eps_first must be positive")
     half = delta / 2
-    levels: list[CantorLevel] = []
-    with workprec(prec):
-        prefix_pow = to_iv(1)
-        for n in range(1, depth + 1):
-            eps_n = eps_first / 2 ** (n - 1)
 
-            def admissible(k: int) -> bool:
-                tail = qvec.tail_sum(k)
-                if upper(tail) > eps_n:
-                    return False
-                return upper(ipow(tail, half) * prefix_pow) <= L
+    def pick(n: int, eps_n: Fraction, prefix_pow: Num) -> tuple[int, int]:
+        def admissible(k: int) -> bool:
+            tail = qvec.tail_sum(k)
+            if upper(tail) > eps_n:
+                return False
+            return upper(ipow(tail, half) * prefix_pow) <= L
 
-            k_n = rigor.first_true(
-                admissible,
-                N + 1,
-                _INDEX_CAP,
-                BudgetInfeasibleError(
-                    f"no index meets the eps/volume budget at level {n}"
-                ),
-            )
-            m_n = _minimal_violation_window(qvec, alpha, delta, k_n, N)
-            level, prefix_pow = _certify_level(
-                qvec, alpha, delta, L, n, eps_n, k_n, m_n, prefix_pow
-            )
-            levels.append(level)
-    return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
+        k_n = rigor.first_true(
+            admissible, N + 1, _INDEX_CAP,
+            BudgetInfeasibleError(f"no index meets the eps/volume budget at level {n}"),
+        )
+        return k_n, _minimal_violation_window(qvec, alpha, delta, k_n, N)
+
+    return _assemble(qvec, alpha, delta, L, eps_first, N, depth, pick, prec)
 
 
 def assemble_cantor(
@@ -335,22 +349,11 @@ def assemble_cantor(
     level invariant: the violation witness, the eps tail budget, and the
     union-block volume cap.
     """
-    alpha, delta, L, eps_first = (
-        Fraction(alpha),
-        Fraction(delta),
-        Fraction(L),
-        Fraction(eps_first),
+    pairs = tuple(level_indices)
+    return _assemble(
+        qvec, alpha, delta, L, eps_first, N, len(pairs),
+        lambda n, eps_n, prefix_pow: pairs[n - 1], prec,
     )
-    levels: list[CantorLevel] = []
-    with workprec(prec):
-        prefix_pow = to_iv(1)
-        for n, (k, M) in enumerate(level_indices, 1):
-            eps_n = eps_first / 2 ** (n - 1)
-            level, prefix_pow = _certify_level(
-                qvec, alpha, delta, L, n, eps_n, k, M, prefix_pow
-            )
-            levels.append(level)
-    return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
 
 
 def level_volume(
@@ -385,19 +388,22 @@ def level_volume(
         return endpoints(total)
 
 
+def _address_mass(spec: CantorSpec, addr: CantorAddress, expo: Fraction) -> Num:
+    """Enclosure of prod_j q_{d_j}^expo / gamma_j over the address digits,
+    at the working precision."""
+    total = to_iv(1)
+    for d, lvl in zip(addr.digits, spec.levels):
+        total = total * ipow(spec.qvec.q(d), expo) / lvl.gamma_iv()
+    return total
+
+
 def measure_cylinder(
     spec: CantorSpec, addr: CantorAddress, prec: int = DEFAULT_PREC
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of the normalized cylinder mass prod (1/gamma_i) q_{d_i}^alpha."""
     spec.validate_address(addr)
-    if addr.level == 0:
-        return Fraction(1), Fraction(1)
     with workprec(prec):
-        total = to_iv(1)
-        for j, d in enumerate(addr.digits, 1):
-            lvl = spec.levels[j - 1]
-            total = total * ipow(spec.qvec.q(d), spec.alpha) / lvl.gamma_iv()
-        return endpoints(total)
+        return endpoints(_address_mass(spec, addr, spec.alpha))
 
 
 @dataclass(frozen=True)
@@ -432,10 +438,7 @@ def local_dim_ratio(
     if addr.level == 0:
         raise InvalidAddressError("ratio needs at least one digit")
     with workprec(prec):
-        total = to_iv(1)
-        for j, d in enumerate(addr.digits, 1):
-            lvl = spec.levels[j - 1]
-            total = total * ipow(spec.qvec.q(d), spec.alpha - t) / lvl.gamma_iv()
+        total = _address_mass(spec, addr, spec.alpha - t)
         eps_n = spec.levels[addr.level - 1].eps
         bound = ipow(eps_n, spec.delta - t)
         if not upper(total) <= lower(bound):

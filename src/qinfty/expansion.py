@@ -60,13 +60,13 @@ class CylinderAddress:
         return list(self.digits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class QRational:
     """A point with finitely many nonzero digits (a cylinder left endpoint).
 
     Stored normalized: no trailing zero digits, so equality of values is
-    equality of tuples.  Ordering is the value order, which coincides with
-    lexicographic order on zero-padded digit strings.
+    equality of tuples.  Ordering is the value order, which is tuple order:
+    a proper prefix has only zeros where the longer word's nonzero tail is.
     """
 
     digits: tuple[int, ...]
@@ -89,40 +89,16 @@ class QRational:
     def value(self, spec: QVectorSpec) -> Num:
         return decode(spec, CylinderAddress(self.digits)).left
 
-    def _cmp(self, other: "QRational") -> int:
-        n = max(len(self.digits), len(other.digits))
-        for i in range(n):
-            a, b = self.digit_at(i), other.digit_at(i)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    def __lt__(self, other):
-        if other is UNIT_END:
-            return True
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        if other is UNIT_END:
-            return True
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        if other is UNIT_END:
-            return False
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        if other is UNIT_END:
-            return False
-        return self._cmp(other) >= 0
-
     def to_json(self) -> dict:
         return {"digits": list(self.digits)}
 
 
 class _UnitEnd:
-    """The closed right endpoint 1, which has no expansion of its own."""
+    """The closed right endpoint 1, which has no expansion of its own.
+
+    It lies above every QRational; ``QRational < UNIT_END`` reaches these
+    methods as Python's reflected comparison.
+    """
 
     _instance = None
 
@@ -133,6 +109,18 @@ class _UnitEnd:
 
     def __repr__(self):
         return "end"
+
+    def __lt__(self, other):
+        return False if isinstance(other, (QRational, _UnitEnd)) else NotImplemented
+
+    def __le__(self, other):
+        return other is self if isinstance(other, (QRational, _UnitEnd)) else NotImplemented
+
+    def __gt__(self, other):
+        return other is not self if isinstance(other, (QRational, _UnitEnd)) else NotImplemented
+
+    def __ge__(self, other):
+        return True if isinstance(other, (QRational, _UnitEnd)) else NotImplemented
 
 
 UNIT_END = _UnitEnd()
@@ -167,18 +155,6 @@ def right_end(addr: CylinderAddress) -> RightEndpoint:
     if not addr.digits:
         return UNIT_END
     return QRational.of(addr.digits[:-1] + (addr.digits[-1] + 1,))
-
-
-def qr_lt(a: RightEndpoint, b: RightEndpoint) -> bool:
-    if a is UNIT_END:
-        return False
-    return a < b
-
-
-def qr_le(a: RightEndpoint, b: RightEndpoint) -> bool:
-    if a is UNIT_END:
-        return b is UNIT_END
-    return a <= b
 
 
 def decode(spec: QVectorSpec, addr: CylinderAddress) -> Cylinder:
@@ -255,14 +231,14 @@ def locate_max_cylinder(
     (prefix, beta1) where beta1 is a's digit at the prefix's rank; the
     guarantee is that the beta1-child no longer contains [a, b).
     """
-    if not qr_lt(a, b):
+    if not a < b:
         raise InvalidIntervalError(f"need a < b, got a={a!r}, b={b!r}")
     prefix: list[int] = []
     pos = 0
     while True:
         d = a.digit_at(pos)
         bump = QRational.of(tuple(prefix) + (d + 1,))
-        if qr_le(b, bump):
+        if b <= bump:
             prefix.append(d)
             pos += 1
         else:

@@ -117,15 +117,24 @@ def _rhs(spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction) -> Num:
     return spec.power_sum(alpha, n, n + M)
 
 
-def _certify_divergent_limit(
-    spec: QVectorSpec, n: int, alpha: Fraction, lhs_up: Fraction, start: int
-) -> Fraction:
-    """Partial right sums overtake a bounded left side; return the witness sum."""
+def _limit_cell(
+    spec: QVectorSpec, n: int, alpha: Fraction, expo: Fraction, start: int
+) -> tuple[Num, Num]:
+    """(lhs, rhs) of row n's M -> infinity cell.
+
+    On a divergent power tail, rhs is the first partial sum over [n, n+m],
+    m doubling from max(start, 1), whose lower end passes upper(lhs): the
+    whole tail exceeds it, so the cell certifies a violation.
+    """
+    lhs = _lhs(spec, n, None, expo)
+    if spec.power_tail_converges(alpha):
+        return lhs, _rhs(spec, n, None, alpha)
+    lhs_up = upper(lhs)
     m = max(start, 1)
     while m <= _DIVERGENT_DOUBLING_CAP:
         partial = spec.power_sum(alpha, n, n + m)
         if lower(partial) > lhs_up:
-            return lower(partial)
+            return lhs, partial
         m *= 2
     raise CapacityError("divergent power tail failed to overtake the left side")
 
@@ -177,10 +186,9 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
         return fast_margin
 
     # cells compare and subtract on exact mpf endpoints; the row minimum
-    # becomes a Fraction once, and a violation's bounds only when it is found
-    converges = spec.power_tail_converges(alpha)
-    # zero or one limit cell, after the finite ones and built only once they all pass
-    limit = ((None, _lhs(spec, n, None, expo), _rhs(spec, n, None, alpha)) for _ in range(converges))
+    # becomes a Fraction once, and a violation's bounds only when it is found;
+    # the limit cell comes last, built only once no finite cell violated
+    limit = ((None, *_limit_cell(spec, n, alpha, expo, query.M_max)) for _ in range(1))
     margin = None
     undecided = False
     for M, lhs, rhs in chain(window_scan(spec, n, alpha, expo, m_min, query.M_max), limit):
@@ -191,10 +199,6 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
             undecided = True
         elif margin is None or cell < margin:
             margin = cell
-    if not converges:
-        lhs_up = upper(_lhs(spec, n, None, expo))
-        raise _Violation(n, None, lhs_up, _certify_divergent_limit(spec, n, alpha, lhs_up, query.M_max))
-
     if undecided:
         return None
     return rigor.frac_of_mpf(margin)
@@ -202,15 +206,12 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:
     with workprec(bits):
-        expo = query.alpha - query.delta
-        lhs = _lhs(spec, vio.n, vio.M, expo)
-        if vio.M is None and not spec.power_tail_converges(query.alpha):
-            try:
-                _certify_divergent_limit(spec, vio.n, query.alpha, upper(lhs), query.M_max)
-                return True
-            except CapacityError:
-                return False
-        rhs = _rhs(spec, vio.n, vio.M, query.alpha)
+        n, M, alpha, expo = vio.n, vio.M, query.alpha, query.alpha - query.delta
+        try:
+            lhs, rhs = (_limit_cell(spec, n, alpha, expo, query.M_max) if M is None
+                        else (_lhs(spec, n, M, expo), _rhs(spec, n, M, alpha)))
+        except CapacityError:
+            return False
         return upper(lhs) < lower(rhs)
 
 
@@ -306,21 +307,16 @@ def scan_condition_region(
         raise ParameterRangeError("grids must be nonempty")
     expo = alpha - delta
     rows: list[MarginRow] = []
-    finite = [m for m in m_grid if m is not None]
+    start = max((m for m in m_grid if m is not None), default=1)
+    diverges = not spec.power_tail_converges(alpha)
     with workprec(prec):
         for n in n_grid:
             row_cells: list[MarginRow] = []
             for M in m_grid:
-                if M is None and not spec.power_tail_converges(alpha):
-                    lhs_inf = _lhs(spec, n, None, expo)
-                    partial = _certify_divergent_limit(
-                        spec, n, alpha, upper(lhs_inf), max(finite, default=1)
-                    )
-                    row_cells.append(MarginRow(n, None, lower(lhs_inf), partial))
-                    continue
-                lhs_l = lower(_lhs(spec, n, M, expo))
-                rhs_u = upper(_rhs(spec, n, M, alpha))
-                row_cells.append(MarginRow(n, M, lhs_l, rhs_u))
+                lhs, rhs = (_limit_cell(spec, n, alpha, expo, start) if M is None
+                            else (_lhs(spec, n, M, expo), _rhs(spec, n, M, alpha)))
+                rhs_col = lower(rhs) if M is None and diverges else upper(rhs)
+                row_cells.append(MarginRow(n, M, lower(lhs), rhs_col))
             by_m = sorted((c for c in row_cells if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
                 if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:

@@ -93,10 +93,6 @@ class QVectorSpec:
     def is_exact(self) -> bool:
         return self.family != "powerlaw"
 
-    @property
-    def numeric_mode(self) -> str:
-        return "exact" if self.is_exact else "interval"
-
     def num(self, x) -> Num:
         """Lift an exact constant (int or Fraction) to this spec's value kind."""
         return Fraction(x) if self.is_exact else to_iv(x)
@@ -283,17 +279,23 @@ class QVectorSpec:
     def from_json(cls, doc: dict) -> "QVectorSpec":
         if not isinstance(doc, dict):
             raise ParameterRangeError(f"q-vector config must be a JSON object, got {type(doc).__name__}")
+
+        def frac(x) -> Fraction:
+            # a JSON number is read by its decimal text, so 0.1 is 1/10
+            if type(x) not in (str, int, float):
+                raise ParameterRangeError(f"q-vector fields must be numbers or strings, got {x!r}")
+            return rigor.parse_frac(str(x))
+
         fam = doc.get("family")
         if fam == "geometric":
-            return cls.geometric(rigor.parse_frac(str(doc["ratio"])))
+            return cls.geometric(frac(doc["ratio"]))
         if fam == "luroth":
             return cls.luroth()
         if fam == "powerlaw":
-            return cls.powerlaw(rigor.parse_frac(str(doc["m0"])))
+            return cls.powerlaw(frac(doc["m0"]))
         if fam == "custom":
-            pad = doc.get("pad_mass", Fraction(1, 2**20))
-            return cls.custom(
-                [rigor.parse_frac(str(w)) for w in doc["weights"]],
-                rigor.parse_frac(str(pad)) if isinstance(pad, str) else pad,
-            )
+            if not isinstance(doc["weights"], list):
+                raise ParameterRangeError(f"custom weights must be a list, got {doc['weights']!r}")
+            pad = [frac(doc["pad_mass"])] if "pad_mass" in doc else []
+            return cls.custom([frac(w) for w in doc["weights"]], *pad)
         raise ParameterRangeError(f"unknown q-vector family: {fam!r}")

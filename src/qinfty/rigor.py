@@ -33,7 +33,7 @@ from typing import Callable, Optional, TypeVar, Union
 
 from mpmath import iv, libmp, mp
 
-from .errors import CapacityError, Undecided
+from .errors import CapacityError, ParameterRangeError, Undecided
 
 Num = Union[Fraction, "iv.mpf"]
 T = TypeVar("T")
@@ -289,6 +289,8 @@ def frac_str(x: Fraction) -> str:
 
 def parse_frac(text: str) -> Fraction:
     """Parse 'p/q' or a plain decimal/integer literal into a Fraction."""
+    if not isinstance(text, str):
+        raise ParameterRangeError(f"expected a rational written as a string, got {text!r}")
     text = text.strip()
     if "/" in text:
         num, den = (int(part) for part in text.split("/", 1))

@@ -410,6 +410,38 @@ def test_local_dim_ratio_bounds_sampled():
                         assert rb.bound_lo <= upper(ipow(eps_n, spec.delta - t))
 
 
+def _reference_address_product(spec, addr, expo):
+    """The address product as measure_cylinder and local_dim_ratio each ran
+    it, with every gamma_n lifted endpoint by endpoint before the hull."""
+    total = to_iv(1)
+    for j, d in enumerate(addr.digits, 1):
+        lvl = spec.levels[j - 1]
+        total = total * ipow(spec.qvec.q(d), expo) / _hull(lvl.gamma_lo, lvl.gamma_hi)
+    return total
+
+
+@pytest.mark.parametrize("prec", [53, 96])
+def test_address_products_match_the_reference_loop_bit_for_bit(prec):
+    spec = built3()
+    ranges = [spec.digit_range(n) for n in range(1, spec.depth + 1)]
+    t = spec.delta / 2
+    addrs = [
+        CantorAddress(tuple(lo for lo, _ in ranges)),
+        CantorAddress(tuple(hi for _, hi in ranges)),
+        sample_address(spec, spec.depth, random.Random(prec)),
+    ]
+    for addr in addrs:
+        with workprec(prec):
+            mass = _reference_address_product(spec, addr, spec.alpha)
+            ratio = _reference_address_product(spec, addr, spec.alpha - t)
+            bound = ipow(spec.levels[-1].eps, spec.delta - t)
+            assert cantor._address_mass(spec, addr, spec.alpha)._mpi_ == mass._mpi_
+            assert cantor._address_mass(spec, addr, spec.alpha - t)._mpi_ == ratio._mpi_
+        assert measure_cylinder(spec, addr, prec) == (lower(mass), upper(mass))
+        rb = local_dim_ratio(spec, addr, t, prec)
+        assert (rb.value_lo, rb.value_hi, rb.bound_lo) == (lower(ratio), upper(ratio), lower(bound))
+
+
 def test_sample_address_respects_ranges():
     rng = random.Random(7)
     spec = built3()

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from qinfty.cli import main
+from qinfty.qvector import QVectorSpec
 
 
 @pytest.fixture()
@@ -269,6 +271,13 @@ def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv)
     assert captured.err.count("\n") == 1
 
 
+_LEVEL = {"k": 1, "M": 2, "gamma_lo": "1/2", "gamma_hi": "1/2", "eps": "1/100"}
+_CANTOR = {"qvec": {"family": "luroth"}, "alpha": "1/2", "delta": "1/5", "L": "1/2", "N": 0,
+           "levels": [_LEVEL]}
+_DECODE = ["decode", "--digits", "[1]", "--qvec"]
+_MEASURE = ["cantor", "measure", "--address", "[1]", "--spec"]
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -282,9 +291,16 @@ def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv)
         (["cantor", "measure", "--address", "[1]", "--spec"],
          {"qvec": {"family": "luroth"}, "alpha": "1/2", "delta": "1/5", "L": "1/2", "N": 0,
           "levels": [[1, 2]]}),
+        (_DECODE, {"family": "custom", "weights": 5}),
+        (_DECODE, {"family": "custom", "weights": ["1/2", "1/2"], "pad_mass": [1]}),
+        (_MEASURE, {**_CANTOR, "N": None}),
+        (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "k": [1]}]}),
+        (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "gamma_lo": 1}]}),
+        (_MEASURE, {**_CANTOR, "alpha": 0.4}),
     ],
     ids=["qvec-list", "qvec-string", "cantor-list", "cantor-qvec-list", "cantor-levels-number",
-         "cantor-level-list"],
+         "cantor-level-list", "custom-weights-number", "custom-pad-list", "cantor-N-null",
+         "cantor-k-list", "cantor-gamma-number", "cantor-alpha-number"],
 )
 def test_non_object_config_exits_one_with_one_error_line(tmp_path, capsys, argv, doc):
     path = tmp_path / "config.json"
@@ -293,8 +309,25 @@ def test_non_object_config_exits_one_with_one_error_line(tmp_path, capsys, argv,
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error (")
+    assert captured.err.startswith("error (ParameterRangeError)")
     assert captured.err.count("\n") == 1
+
+
+def test_valid_config_skeleton_reads(tmp_path, capsys):
+    # the cases above differ from these documents in one field each
+    for argv, doc in ((_DECODE, {"family": "custom", "weights": ["1/2", "1/2"]}), (_MEASURE, _CANTOR)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_numeric_pad_mass_is_read_as_its_decimal(tmp_path, capsys):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({"family": "custom", "weights": ["1/2", "1/2"], "pad_mass": 0.001}))
+    assert QVectorSpec.from_json(json.loads(path.read_text())).pad_mass == Fraction(1, 1000)
+    assert main(["decode", "--qvec", str(path), "--digits", "[1]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"left": "1/2", "length": "499/1000"}
 
 
 def test_usage_errors_exit_one(qvec_files, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qinfty.errors import BoundaryAmbiguityError, InvalidIntervalError, ParameterRangeError
 from qinfty.expansion import (
@@ -15,8 +17,6 @@ from qinfty.expansion import (
     decode,
     encode,
     locate_max_cylinder,
-    qr_le,
-    qr_lt,
     right_end,
 )
 from qinfty.qvector import QVectorSpec
@@ -91,9 +91,46 @@ def test_lexicographic_order_examples():
 
 def test_unit_end_is_maximal():
     assert QRational.of((9, 9, 9)) < UNIT_END
-    assert qr_lt(QRational.zero(), UNIT_END)
-    assert qr_le(UNIT_END, UNIT_END)
-    assert not qr_lt(UNIT_END, UNIT_END)
+    assert QRational.zero() < UNIT_END
+    assert UNIT_END <= UNIT_END
+    assert not UNIT_END < UNIT_END
+
+
+def _reference_cmp(a: QRational, b: QRational) -> int:
+    """Position-wise comparison after padding with zeros, digit by digit."""
+    for i in range(max(len(a.digits), len(b.digits))):
+        x, y = a.digit_at(i), b.digit_at(i)
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def _reference_lt(a, b) -> bool:
+    if a is UNIT_END:
+        return False
+    return b is UNIT_END or _reference_cmp(a, b) < 0
+
+
+def _reference_le(a, b) -> bool:
+    if a is UNIT_END:
+        return b is UNIT_END
+    return b is UNIT_END or _reference_cmp(a, b) <= 0
+
+
+_points = st.one_of(
+    st.just(UNIT_END),
+    st.lists(st.integers(0, 3), max_size=5).map(QRational.of),
+)
+
+
+@given(_points, _points)
+def test_operators_match_the_zero_padded_order(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert (x < y) == _reference_lt(x, y)
+        assert (x <= y) == _reference_le(x, y)
+        assert (x > y) == _reference_lt(y, x)
+        assert (x >= y) == _reference_le(y, x)
+        assert (x == y) == (_reference_le(x, y) and _reference_le(y, x))
 
 
 def test_order_matches_value_order_luroth():
@@ -287,7 +324,7 @@ def test_locate_invariants_random():
         assert all(a.digit_at(i) == p.digits[i] for i in range(rank))
         assert b1 == a.digit_at(rank)
         if rank > 0:
-            assert qr_le(QRational.of(p.digits), a)
-            assert qr_le(b, right_end(p))
+            assert QRational.of(p.digits) <= a
+            assert b <= right_end(p)
         # maximality: the next child along a's digits no longer contains b
-        assert not qr_le(b, right_end(p.child(b1)))
+        assert not b <= right_end(p.child(b1))

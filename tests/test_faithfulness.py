@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from qinfty import faithfulness
-from qinfty.errors import ParameterRangeError, QinftyError, Undecided
+from qinfty.errors import CapacityError, ParameterRangeError, QinftyError, Undecided
 from qinfty.faithfulness import (
     CSV_HEADER,
     HOLDS,
@@ -335,8 +335,14 @@ def _fraction_check_row(spec, query, n):
         elif margin is None or cell < margin:
             margin = cell
     else:
-        partial = faithfulness._certify_divergent_limit(spec, n, alpha, upper(lhs_inf), query.M_max)
-        raise faithfulness._Violation(n, None, upper(lhs_inf), partial)
+        # partial right sums, doubling in length, overtake the bounded left side
+        m = max(query.M_max, 1)
+        while m <= 2**40:
+            partial = lower(spec.power_sum(alpha, n, n + m))
+            if partial > upper(lhs_inf):
+                raise faithfulness._Violation(n, None, upper(lhs_inf), partial)
+            m *= 2
+        raise CapacityError("divergent power tail failed to overtake the left side")
 
     if undecided:
         return None
@@ -353,9 +359,10 @@ def _fraction_check_row(spec, query, n):
         (GEO, ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40)),
         (PL2, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 5, 8, 60)),
         (PL2, ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 101, 150)),
+        (PL2, ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5)),
     ],
     ids=["luroth-holds", "luroth-violated", "geometric-holds", "geometric-violated",
-         "powerlaw2-holds", "powerlaw2-violated"],
+         "powerlaw2-holds", "powerlaw2-violated", "powerlaw2-divergent-limit"],
 )
 def test_verdict_matches_fraction_cell_loop(monkeypatch, bits, spec, query):
     verdict = check_condition(spec, query, prec=bits).to_json()

@@ -56,7 +56,6 @@ def test_custom_rejects_wrong_mass():
 def test_numeric_modes():
     assert LUR.is_exact and GEO.is_exact and CUSTOM.is_exact
     assert not PL2.is_exact
-    assert PL2.numeric_mode == "interval"
 
 
 @pytest.mark.parametrize("spec", [GEO, LUR, CUSTOM, PL2], ids=["geo", "luroth", "custom", "powerlaw"])
