@@ -6,6 +6,10 @@ are deliberately three-valued: a certified counterexample is decisive, a
 certified hold only covers the scanned region, and anything the enclosures
 cannot separate on the top rung of ``rigor.escalate`` stays inconclusive.
 
+Window mass and sum q_i^alpha both grow with M, so one power bounds a
+whole block of a row's cells; only blocks that may hold a violation, an
+undecided cell or the row minimum are opened cell by cell (``_check_row``).
+
 A window with a divergent power tail is never an error: partial sums of
 the right side certifiably overtake the bounded left side, which is a
 violation witness in the limit cell.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from mpmath import iv
@@ -31,6 +35,7 @@ INCONCLUSIVE = "inconclusive"
 
 CONDITION_PREC = 64
 _DIVERGENT_DOUBLING_CAP = 2**40
+_BLOCK = 32  # cells per block of a row scan, bounded by one power (see _check_row)
 
 
 @dataclass(frozen=True)
@@ -139,23 +144,32 @@ def _limit_cell(
     raise CapacityError("divergent power tail failed to overtake the left side")
 
 
-def window_scan(
-    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int, m_max: int
+def _window_sums(
+    spec: QVectorSpec, k: int, alpha: Fraction, m_min: int, m_max: int,
+    start: Optional[tuple[Num, Num]] = None,
 ) -> Iterator[tuple[int, Num, Num]]:
-    """Cells (M, lhs, rhs) of the windows [k, k+M] for m_min <= M <= m_max.
+    """Running sums (M, mass, rhs) of the windows [k, k+M], m_min <= M <= m_max.
 
-    lhs encloses (sum q_i)^expo and rhs encloses sum q_i^alpha over the
-    window; both sums grow by one term per step instead of being re-summed,
-    and each term's power comes from the spec's weight-power memo, which
-    consecutive rows share.
+    mass encloses sum q_i and rhs sum q_i^alpha; each step adds one term, its
+    power from the weight-power memo that consecutive rows share.  ``start``
+    is a kept (mass, rhs) of cell m_min: the same terms follow in the same
+    order, so the same bits.
     """
-    mass = spec.range_sum(k, k + m_min)
-    rhs = spec.power_sum(alpha, k, k + m_min)
+    mass, rhs = start or (spec.range_sum(k, k + m_min), spec.power_sum(alpha, k, k + m_min))
     for M in range(m_min, m_max + 1):
         if M > m_min:
             mass = mass + spec.q(k + M)
             rhs = rhs + spec.weight_power(k + M, alpha)
-        yield M, ipow(mass, expo), rhs
+        yield M, mass, rhs
+
+
+def window_scan(
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int, m_max: int
+) -> Iterator[tuple[int, Num, Num]]:
+    """Cells (M, lhs, rhs) of the windows [k, k+M] for m_min <= M <= m_max:
+    lhs encloses (sum q_i)^expo and rhs sum q_i^alpha (see _window_sums)."""
+    sums = _window_sums(spec, k, alpha, m_min, m_max)
+    return ((M, ipow(mass, expo), rhs) for M, mass, rhs in sums)
 
 
 def window_fast_margin(
@@ -178,6 +192,18 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
     Raises _Violation on the first certified counterexample cell, scanning
     M upward and ending with the limit cell.
+
+    Both sides of a cell grow with M, so over a block of cells [a, b] the
+    gap lower(lhs_a) - upper(rhs_b) bounds every cell's true gap from below
+    at the cost of one power.  A block whose bound is below 0 is opened cell
+    by cell; one whose bound is >= 0 holds no violated or undecided cell and
+    is kept, as its first cell's sums, only if its bound is below both the
+    least gap seen and the limit cell's.  After the limit cell, kept blocks
+    still below the row minimum are re-added from their first cell (the same
+    bits) and opened.  So the first violation is the one a scan of every
+    cell finds, and so is the margin while the computed lower(lhs) and
+    upper(rhs) do not decrease in M: upper(rhs) cannot, each step adding a
+    positive enclosure rounded up, and tests check lower(lhs).
     """
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
@@ -186,12 +212,12 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
         return fast_margin
 
     # cells compare and subtract on exact mpf endpoints; the row minimum
-    # becomes a Fraction once, and a violation's bounds only when it is found;
-    # the limit cell comes last, built only once no finite cell violated
-    limit = ((None, *_limit_cell(spec, n, alpha, expo, query.M_max)) for _ in range(1))
+    # becomes a Fraction once, and a violation's bounds only when it is found
     margin = None
     undecided = False
-    for M, lhs, rhs in chain(window_scan(spec, n, alpha, expo, m_min, query.M_max), limit):
+
+    def visit(M: Optional[int], lhs: Num, rhs: Num) -> None:
+        nonlocal margin, undecided
         if rigor.decide_lt(lhs, rhs):
             raise _Violation(n, M, upper(lhs), lower(rhs))
         cell = rigor.gap(lhs, rhs)
@@ -199,9 +225,32 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
             undecided = True
         elif margin is None or cell < margin:
             margin = cell
-    if undecided:
-        return None
-    return rigor.frac_of_mpf(margin)
+
+    def open_cells(cells: Iterable[tuple[int, Num, Num]]) -> None:
+        for M, mass, rhs in cells:
+            visit(M, ipow(mass, expo), rhs)
+
+    # a convergent limit cell is built first, for its gap caps the row
+    # minimum; a divergent one always violates, so no block need be kept
+    limit = _limit_cell(spec, n, alpha, expo, query.M_max) if spec.power_tail_converges(alpha) else None
+    cap = rigor.gap(*limit) if limit else 0
+    kept = []  # (bound, first cell, cell count) of blocks that may hold the minimum
+    sums = _window_sums(spec, n, alpha, m_min, query.M_max)
+    while block := list(islice(sums, _BLOCK)):
+        a, mass, rhs = block[0]
+        lhs = ipow(mass, expo)
+        visit(a, lhs, rhs)
+        bound = rigor.gap(lhs, block[-1][2])
+        if bound < 0:
+            open_cells(block[1:])
+        elif bound < min(margin, cap):
+            kept.append((bound, block[0], len(block)))
+    visit(None, *(limit or _limit_cell(spec, n, alpha, expo, query.M_max)))
+    if not undecided:
+        for bound, (a, mass, rhs), size in kept:
+            if bound < margin:
+                open_cells(_window_sums(spec, n, alpha, a, a + size - 1, (mass, rhs)))
+    return None if undecided else rigor.frac_of_mpf(margin)
 
 
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:
@@ -305,6 +354,8 @@ def scan_condition_region(
     m_grid = list(m_grid)
     if not n_grid or not m_grid:
         raise ParameterRangeError("grids must be nonempty")
+    if min(n_grid) < 0 or min((M for M in m_grid if M is not None), default=0) < 0:
+        raise ParameterRangeError("window starts n and lengths M must be nonnegative")
     expo = alpha - delta
     rows: list[MarginRow] = []
     start = max((m for m in m_grid if m is not None), default=1)

@@ -158,6 +158,20 @@ def test_scan_condition_csv(qvec_files, tmp_path):
     assert {r[1] for r in rows[1:]} == {"100", "inf"}
 
 
+@pytest.mark.parametrize("grids", [["--n-grid", "10", "--M-grid=-3,-1,inf"],
+                                   ["--n-grid=-1", "--M-grid", "5,inf"]], ids=["M", "n"])
+def test_scan_condition_rejects_negative_windows(qvec_files, tmp_path, capsys, grids):
+    path = tmp_path / "m.csv"
+    rc = main(["scan-condition", "--qvec", qvec_files["luroth"], "--alpha", "2/5",
+               "--delta", "1/10", *grids, "--csv", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ParameterRangeError)")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_cantor_pipeline(qvec_files, tmp_path, capsys):
     spec_path = tmp_path / "cantor.json"
     rc = main([

@@ -8,10 +8,14 @@ to the oracle and the safe direction.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qinfty import faithfulness
 from qinfty.errors import CapacityError, ParameterRangeError, QinftyError, Undecided
@@ -349,25 +353,127 @@ def _fraction_check_row(spec, query, n):
     return margin
 
 
-@pytest.mark.parametrize("bits", [64, 96, 128])
+_WORKLOAD_LUROTH = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 30, 1000)
+_FRACTION_LOOP_CASES = [
+    ("luroth-holds", LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 30)),
+    ("luroth-violated", LUR, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 2, 6, 40)),
+    ("geometric-holds", GEO, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 17, 22, 60)),
+    ("geometric-violated", GEO, ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40)),
+    ("powerlaw2-holds", PL2, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 5, 8, 60)),
+    ("powerlaw2-violated", PL2, ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 101, 150)),
+    ("powerlaw2-divergent-limit", PL2, ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5)),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, query",
-    [
-        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 30)),
-        (LUR, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 2, 6, 40)),
-        (GEO, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 17, 22, 60)),
-        (GEO, ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40)),
-        (PL2, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 5, 8, 60)),
-        (PL2, ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 101, 150)),
-        (PL2, ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5)),
-    ],
-    ids=["luroth-holds", "luroth-violated", "geometric-holds", "geometric-violated",
-         "powerlaw2-holds", "powerlaw2-violated", "powerlaw2-divergent-limit"],
+    "spec, query, bits",
+    [pytest.param(spec, query, bits, id=f"{name}-{bits}")
+     for name, spec, query in _FRACTION_LOOP_CASES for bits in (64, 96, 128)]
+    # the benchmark's Luroth query: every row misses the fast margin
+    + [pytest.param(LUR, _WORKLOAD_LUROTH, 64, id="luroth-workload-64")],
 )
 def test_verdict_matches_fraction_cell_loop(monkeypatch, bits, spec, query):
     verdict = check_condition(spec, query, prec=bits).to_json()
     monkeypatch.setattr(faithfulness, "_check_row", _fraction_check_row)
     assert check_condition(spec, query, prec=bits).to_json() == verdict
+
+
+def _block_and_fraction_verdicts(spec, query, bits, block):
+    with patch.object(faithfulness, "_BLOCK", block):
+        verdict = check_condition(spec, query, prec=bits).to_json()
+    with patch.object(faithfulness, "_check_row", _fraction_check_row):
+        return verdict, check_condition(spec, query, prec=bits).to_json()
+
+
+@st.composite
+def _row_queries(draw):
+    a = draw(st.integers(2, 39))
+    d = draw(st.integers(1, a - 1))
+    N = draw(st.integers(0, 40))
+    return ConditionQuery(Fraction(a, 40), Fraction(d, 40), N,
+                          N + draw(st.integers(0, 2)), draw(st.integers(N, 300)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    spec=st.sampled_from([LUR, GEO, PL2, CUSTOM]),
+    query=_row_queries(),
+    bits=st.sampled_from([16, 24, 64, 128]),
+    block=st.sampled_from([1, 3, 32]),
+)
+# an undecided cell at 16 bits, then a violated limit cell
+@example(spec=LUR, query=ConditionQuery(Fraction(3, 5), Fraction(2, 5), 33, 34, 60), bits=16, block=32)
+@example(spec=LUR, query=_WORKLOAD_LUROTH, bits=16, block=32)  # escalates to 32 bits
+# the least gap lies inside a block kept unopened during the scan
+@example(spec=GEO, query=ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200), bits=64, block=32)
+@example(spec=CUSTOM, query=ConditionQuery(Fraction(31, 40), Fraction(1, 40), 3, 5, 200), bits=64, block=32)
+@example(spec=PL2, query=ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5), bits=24, block=3)
+@example(spec=GEO, query=ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40), bits=64, block=3)
+def test_block_scan_matches_fraction_cell_loop(spec, query, bits, block):
+    verdict, reference = _block_and_fraction_verdicts(spec, query, bits, block)
+    assert verdict == reference
+    # the margins are the same bits only while both computed bounds are
+    # nondecreasing in M; upper(rhs) is by construction, lower(lhs) is checked
+    alpha, expo = query.alpha, query.alpha - query.delta
+    with workprec(bits):
+        for n in range(query.N + 1, query.n_max + 1):
+            cells = list(window_scan(spec, n, alpha, expo, query.N + 1, query.M_max))
+            for (_, lhs0, rhs0), (_, lhs1, rhs1) in zip(cells, cells[1:]):
+                assert lower(lhs0) <= lower(lhs1) and upper(rhs0) <= upper(rhs1)
+
+
+@pytest.mark.parametrize(
+    "spec, query, outcome",
+    [
+        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 17), HOLDS),
+        (PL2, ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 2), VIOLATED),
+        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 18), HOLDS),
+        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 17 + 2 * faithfulness._BLOCK + 5),
+         HOLDS),
+    ],
+    ids=["no-finite-cell", "no-finite-cell-divergent", "single-cell", "partial-last-block"],
+)
+@pytest.mark.parametrize("bits", [16, 64])
+def test_block_scan_edge_rows(spec, query, outcome, bits):
+    verdict, reference = _block_and_fraction_verdicts(spec, query, bits, 32)
+    assert verdict == reference
+    assert verdict["outcome"] == outcome
+    if outcome == VIOLATED:
+        assert verdict["witness"] == {"n": 3, "M": "inf"}
+
+
+def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch):
+    query = ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 200, 10**4)
+    memoized = QVectorSpec.weight_power
+    calls = []
+
+    def spy(self, i, s):
+        calls.append(i)
+        return memoized(self, i, s)
+
+    monkeypatch.setattr(QVectorSpec, "weight_power", spy)
+    verdict = check_condition(PL2, query).to_json()
+    block_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(faithfulness, "_check_row", _fraction_check_row)
+    assert check_condition(PL2, query).to_json() == verdict
+    assert verdict["witness"] == {"n": 100, "M": 100}
+    assert block_calls <= len(calls) + faithfulness._BLOCK
+
+
+def test_block_scan_row_memory_does_not_grow_with_the_window_count():
+    def peak(m_max):
+        query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 18, m_max)
+        with workprec(64):
+            faithfulness._check_row(LUR, query, 18)  # fills the memos
+            tracemalloc.start()
+            try:
+                faithfulness._check_row(LUR, query, 18)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(4000) <= 1.5 * peak(1000)
 
 
 def _unmemoized_weight_power(self, i, s):
