@@ -27,7 +27,7 @@ from .errors import (
     NoViolationError,
     ParameterRangeError,
 )
-from .faithfulness import window_fast_margin, window_scan
+from .faithfulness import row_cells, window_fast_margin
 from .qvector import QVectorSpec
 from .rigor import DEFAULT_PREC, Num, endpoints, ipow, lower, to_iv, upper, workprec
 
@@ -104,6 +104,15 @@ class CantorAddress:
         return len(self.digits)
 
 
+def _check_parameters(alpha: Fraction, delta: Fraction, L: Fraction, N: int) -> None:
+    if not 0 < delta < alpha < 1:
+        raise ParameterRangeError("need 0 < delta < alpha < 1")
+    if not 0 < L < 1:
+        raise ParameterRangeError("volume cap L must lie in (0, 1)")
+    if N < 0:
+        raise ParameterRangeError("threshold N must be nonnegative")
+
+
 @dataclass(frozen=True)
 class CantorSpec:
     qvec: QVectorSpec
@@ -118,12 +127,7 @@ class CantorSpec:
         object.__setattr__(self, "delta", Fraction(self.delta))
         object.__setattr__(self, "L", Fraction(self.L))
         object.__setattr__(self, "levels", tuple(self.levels))
-        if not 0 < self.delta < self.alpha < 1:
-            raise ParameterRangeError("need 0 < delta < alpha < 1")
-        if not 0 < self.L < 1:
-            raise ParameterRangeError("volume cap L must lie in (0, 1)")
-        if self.N < 0:
-            raise ParameterRangeError("threshold N must be nonnegative")
+        _check_parameters(self.alpha, self.delta, self.L, self.N)
         if not self.levels:
             raise ParameterRangeError("at least one level required")
         for lvl in self.levels:
@@ -208,7 +212,9 @@ def _minimal_violation_window(
     """An M > N whose window [k, k+M] certifiably violates the tail
     inequality: the least one while the linear scan lasts.
 
-    The linear scan is skipped when :func:`_linear_scan_cannot_violate`
+    The linear scan walks :func:`row_cells` at floor 0, which leaves closed
+    only blocks that hold no violated cell, so it returns the M a scan of
+    every cell returns.  It is skipped when :func:`_linear_scan_cannot_violate`
     holds.  That skip is sound: its two sides bound every scanned window
     from the correct side, so the inequality truly holds on each of them,
     no cell's enclosures can certify a violation, and the scan would have
@@ -226,7 +232,7 @@ def _minimal_violation_window(
             f"inequality certifiably holds for every window at offset {k}"
         )
     if not _linear_scan_cannot_violate(spec, alpha, expo, k, m_min):
-        for M, lhs, rhs in window_scan(spec, k, alpha, expo, m_min, _LINEAR_M_CAP):
+        for M, lhs, rhs in row_cells(spec, k, alpha, expo, m_min, _LINEAR_M_CAP, lambda: 0):
             if rigor.decide_lt(lhs, rhs):
                 return M
 
@@ -273,12 +279,14 @@ def _assemble(
     qvec: QVectorSpec, alpha: Fraction, delta: Fraction, L: Fraction,
     eps_first: Fraction, N: int, depth: int, pick, prec: int,
 ) -> CantorSpec:
-    """Certify levels 1..depth in turn and return the spec.
+    """Certify levels 1..depth in turn and return the spec, refusing the
+    parameters the spec would refuse before any level is searched.
 
     ``pick(n, eps_n, prefix_pow)`` gives level n's window (k, M): the
     search of :func:`build_cantor` or a pair given to :func:`assemble_cantor`.
     """
     alpha, delta, L, eps_first = (Fraction(x) for x in (alpha, delta, L, eps_first))
+    _check_parameters(alpha, delta, L, N)
     levels: list[CantorLevel] = []
     with workprec(prec):
         prefix_pow = to_iv(1)

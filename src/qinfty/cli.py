@@ -29,7 +29,7 @@ from .covering import (
     lemma1_partition,
     TailStream,
 )
-from .errors import QinftyError
+from .errors import ParameterRangeError, QinftyError
 from .expansion import (
     UNIT_END,
     CylinderAddress,
@@ -110,6 +110,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    if args.max_blocks < 0:
+        raise ParameterRangeError("--max-blocks must be nonnegative")
     spec = _load_qvec(args.qvec)
     params = CoverParams(
         alpha=parse_frac(args.alpha),

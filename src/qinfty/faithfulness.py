@@ -7,8 +7,10 @@ certified hold only covers the scanned region, and anything the enclosures
 cannot separate on the top rung of ``rigor.escalate`` stays inconclusive.
 
 Window mass and sum q_i^alpha both grow with M, so one power bounds a
-whole block of a row's cells; only blocks that may hold a violation, an
-undecided cell or the row minimum are opened cell by cell (``_check_row``).
+whole block of a row's cells.  One walk, :func:`row_cells`, serves every
+window scan: it opens a block cell by cell only when that bound is below
+its caller's floor, the running row minimum for ``_check_row`` and 0 for
+the Cantor window search.
 
 A window with a divergent power tail is never an error: partial sums of
 the right side certifiably overtake the bounded left side, which is a
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from mpmath import iv
 
@@ -116,24 +118,18 @@ def _lhs(spec: QVectorSpec, n: int, M: Optional[int], expo: Fraction) -> Num:
     return ipow(mass, expo)
 
 
-def _rhs(spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction) -> Num:
-    if M is None:
-        return spec.power_sum(alpha, n)
-    return spec.power_sum(alpha, n, n + M)
-
-
-def _limit_cell(
-    spec: QVectorSpec, n: int, alpha: Fraction, expo: Fraction, start: int
+def _cell(
+    spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, expo: Fraction, start: int
 ) -> tuple[Num, Num]:
-    """(lhs, rhs) of row n's M -> infinity cell.
+    """(lhs, rhs) of cell (n, M), M = None meaning the limit cell.
 
-    On a divergent power tail, rhs is the first partial sum over [n, n+m],
-    m doubling from max(start, 1), whose lower end passes upper(lhs): the
-    whole tail exceeds it, so the cell certifies a violation.
+    On a divergent power tail, the limit cell's rhs is the first partial
+    sum over [n, n+m], m doubling from max(start, 1), whose lower end passes
+    upper(lhs): the whole tail exceeds it, so the cell certifies a violation.
     """
-    lhs = _lhs(spec, n, None, expo)
-    if spec.power_tail_converges(alpha):
-        return lhs, _rhs(spec, n, None, alpha)
+    lhs = _lhs(spec, n, M, expo)
+    if M is not None or spec.power_tail_converges(alpha):
+        return lhs, spec.power_sum(alpha, n, None if M is None else n + M)
     lhs_up = upper(lhs)
     m = max(start, 1)
     while m <= _DIVERGENT_DOUBLING_CAP:
@@ -145,17 +141,14 @@ def _limit_cell(
 
 
 def _window_sums(
-    spec: QVectorSpec, k: int, alpha: Fraction, m_min: int, m_max: int,
-    start: Optional[tuple[Num, Num]] = None,
+    spec: QVectorSpec, k: int, alpha: Fraction, m_min: int, m_max: int
 ) -> Iterator[tuple[int, Num, Num]]:
     """Running sums (M, mass, rhs) of the windows [k, k+M], m_min <= M <= m_max.
 
     mass encloses sum q_i and rhs sum q_i^alpha; each step adds one term, its
-    power from the weight-power memo that consecutive rows share.  ``start``
-    is a kept (mass, rhs) of cell m_min: the same terms follow in the same
-    order, so the same bits.
+    power from the weight-power memo that consecutive rows share.
     """
-    mass, rhs = start or (spec.range_sum(k, k + m_min), spec.power_sum(alpha, k, k + m_min))
+    mass, rhs = spec.range_sum(k, k + m_min), spec.power_sum(alpha, k, k + m_min)
     for M in range(m_min, m_max + 1):
         if M > m_min:
             mass = mass + spec.q(k + M)
@@ -163,27 +156,48 @@ def _window_sums(
         yield M, mass, rhs
 
 
-def window_scan(
-    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int, m_max: int
+def row_cells(
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int, m_max: int,
+    floor: Callable,
 ) -> Iterator[tuple[int, Num, Num]]:
-    """Cells (M, lhs, rhs) of the windows [k, k+M] for m_min <= M <= m_max:
-    lhs encloses (sum q_i)^expo and rhs sum q_i^alpha (see _window_sums)."""
+    """Cells (M, lhs, rhs) of the windows [k, k+M], m_min <= M <= m_max, in
+    M order: lhs encloses (sum q_i)^expo and rhs sum q_i^alpha.
+
+    The running sums are read in blocks of _BLOCK.  Each block's first cell
+    is always yielded; once the caller has consumed it, ``floor()`` is read,
+    and the block's other cells follow only if its bound gap(lhs_first,
+    rhs_last) is below that floor.  Both sides grow with M, so the bound is
+    at most every cell's gap while the computed lower(lhs) and upper(rhs) do
+    not decrease in M (upper(rhs) cannot, each step adding a positive
+    enclosure rounded up, and tests check lower(lhs)).  So a block left
+    closed holds no gap below the floor, and at floor 0 no violated or
+    undecided cell.
+    """
     sums = _window_sums(spec, k, alpha, m_min, m_max)
-    return ((M, ipow(mass, expo), rhs) for M, mass, rhs in sums)
+    while block := list(islice(sums, _BLOCK)):
+        M, mass, rhs = block[0]
+        lhs = ipow(mass, expo)
+        yield M, lhs, rhs
+        if rigor.gap(lhs, block[-1][2]) < floor():
+            yield from ((M, ipow(mass, expo), rhs) for M, mass, rhs in block[1:])
 
 
 def window_fast_margin(
-    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int,
+    tail: Optional[Num] = None,
 ) -> Optional[Fraction]:
     """Margin certified for every window [k, k+M] with M >= m_min at once.
 
     Both sides grow with M, so lower(lhs at m_min) - upper(rhs of the whole
     tail), when nonnegative, bounds every such cell's margin, the limit cell
     included.  None when that gap is negative or the power tail diverges.
+    ``tail`` is that whole power tail when the caller already holds it.
     """
     if not spec.power_tail_converges(alpha):
         return None
-    margin = rigor.gap(_lhs(spec, k, m_min, expo), _rhs(spec, k, None, alpha))
+    if tail is None:
+        tail = spec.power_sum(alpha, k)
+    margin = rigor.gap(_lhs(spec, k, m_min, expo), tail)
     return rigor.frac_of_mpf(margin) if margin >= 0 else None
 
 
@@ -193,23 +207,25 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     Raises _Violation on the first certified counterexample cell, scanning
     M upward and ending with the limit cell.
 
-    Both sides of a cell grow with M, so over a block of cells [a, b] the
-    gap lower(lhs_a) - upper(rhs_b) bounds every cell's true gap from below
-    at the cost of one power.  A block whose bound is below 0 is opened cell
-    by cell; one whose bound is >= 0 holds no violated or undecided cell and
-    is kept, as its first cell's sums, only if its bound is below both the
-    least gap seen and the limit cell's.  After the limit cell, kept blocks
-    still below the row minimum are re-added from their first cell (the same
-    bits) and opened.  So the first violation is the one a scan of every
-    cell finds, and so is the margin while the computed lower(lhs) and
-    upper(rhs) do not decrease in M: upper(rhs) cannot, each step adding a
-    positive enclosure rounded up, and tests check lower(lhs).
+    The finite cells come from :func:`row_cells` with the floor min(least
+    gap seen, cap), where cap is the limit cell's gap if that is >= 0 and
+    else 0 (a divergent limit cell always violates), and the floor is 0
+    while no gap is seen.  A block left closed has a bound at least that
+    floor, which is at least the final row minimum, itself >= 0; so it holds
+    no violated or undecided cell and no gap below the minimum, and the first
+    violation and the margin are those a scan of every cell finds.  A
+    convergent row sums its power tail once, for the fast margin and the
+    limit cell; a divergent limit cell is built only after the finite cells.
     """
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
-    fast_margin = window_fast_margin(spec, n, alpha, expo, m_min)
-    if fast_margin is not None:
-        return fast_margin
+    limit = None
+    if spec.power_tail_converges(alpha):
+        tail = spec.power_sum(alpha, n)
+        fast_margin = window_fast_margin(spec, n, alpha, expo, m_min, tail)
+        if fast_margin is not None:
+            return fast_margin
+        limit = _lhs(spec, n, None, expo), tail
 
     # cells compare and subtract on exact mpf endpoints; the row minimum
     # becomes a Fraction once, and a violation's bounds only when it is found
@@ -226,39 +242,19 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
         elif margin is None or cell < margin:
             margin = cell
 
-    def open_cells(cells: Iterable[tuple[int, Num, Num]]) -> None:
-        for M, mass, rhs in cells:
-            visit(M, ipow(mass, expo), rhs)
-
-    # a convergent limit cell is built first, for its gap caps the row
-    # minimum; a divergent one always violates, so no block need be kept
-    limit = _limit_cell(spec, n, alpha, expo, query.M_max) if spec.power_tail_converges(alpha) else None
-    cap = rigor.gap(*limit) if limit else 0
-    kept = []  # (bound, first cell, cell count) of blocks that may hold the minimum
-    sums = _window_sums(spec, n, alpha, m_min, query.M_max)
-    while block := list(islice(sums, _BLOCK)):
-        a, mass, rhs = block[0]
-        lhs = ipow(mass, expo)
-        visit(a, lhs, rhs)
-        bound = rigor.gap(lhs, block[-1][2])
-        if bound < 0:
-            open_cells(block[1:])
-        elif bound < min(margin, cap):
-            kept.append((bound, block[0], len(block)))
-    visit(None, *(limit or _limit_cell(spec, n, alpha, expo, query.M_max)))
-    if not undecided:
-        for bound, (a, mass, rhs), size in kept:
-            if bound < margin:
-                open_cells(_window_sums(spec, n, alpha, a, a + size - 1, (mass, rhs)))
+    cap = max(rigor.gap(*limit), 0) if limit else 0
+    cells = row_cells(spec, n, alpha, expo, m_min, query.M_max,
+                      lambda: 0 if margin is None else min(margin, cap))
+    for M, lhs, rhs in cells:
+        visit(M, lhs, rhs)
+    visit(None, *(limit or _cell(spec, n, None, alpha, expo, query.M_max)))
     return None if undecided else rigor.frac_of_mpf(margin)
 
 
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:
     with workprec(bits):
-        n, M, alpha, expo = vio.n, vio.M, query.alpha, query.alpha - query.delta
         try:
-            lhs, rhs = (_limit_cell(spec, n, alpha, expo, query.M_max) if M is None
-                        else (_lhs(spec, n, M, expo), _rhs(spec, n, M, alpha)))
+            lhs, rhs = _cell(spec, vio.n, vio.M, query.alpha, query.alpha - query.delta, query.M_max)
         except CapacityError:
             return False
         return upper(lhs) < lower(rhs)
@@ -362,17 +358,16 @@ def scan_condition_region(
     diverges = not spec.power_tail_converges(alpha)
     with workprec(prec):
         for n in n_grid:
-            row_cells: list[MarginRow] = []
+            row: list[MarginRow] = []
             for M in m_grid:
-                lhs, rhs = (_limit_cell(spec, n, alpha, expo, start) if M is None
-                            else (_lhs(spec, n, M, expo), _rhs(spec, n, M, alpha)))
+                lhs, rhs = _cell(spec, n, M, alpha, expo, start)
                 rhs_col = lower(rhs) if M is None and diverges else upper(rhs)
-                row_cells.append(MarginRow(n, M, lower(lhs), rhs_col))
-            by_m = sorted((c for c in row_cells if c.M is not None), key=lambda c: c.M)
+                row.append(MarginRow(n, M, lower(lhs), rhs_col))
+            by_m = sorted((c for c in row if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
                 if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:
                     raise QinftyError(
                         f"row n={n}: bounds decrease from M={prev.M} to M={cur.M}"
                     )
-            rows.extend(row_cells)
+            rows.extend(row)
     return rows

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from qinfty import cantor, rigor
+from qinfty import cantor, faithfulness, rigor
 from qinfty.cantor import (
     BLOCK_UNION,
     PHI_SPLIT,
@@ -39,6 +39,7 @@ from qinfty.errors import (
 )
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import hull, ipow, lower, to_iv, upper, workprec
+from window_cells import every_cell
 
 
 def _hull(lo: Fraction, hi: Fraction):
@@ -91,6 +92,20 @@ def test_build_param_validation():
         build_cantor(PL2, ALPHA, DELTA, HALF_L, eps_first=Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "alpha, delta, L, N",
+    [(ALPHA, DELTA, HALF_L, -5), (ALPHA, DELTA, Fraction(0), 10), (ALPHA, DELTA, Fraction(1), 10),
+     (Fraction(1, 5), DELTA, HALF_L, 10)],
+    ids=["negative-N", "zero-L", "unit-L", "alpha-below-delta"],
+)
+def test_assembly_refuses_parameters_before_any_level_search(alpha, delta, L, N):
+    picked = []
+    with pytest.raises(ParameterRangeError):
+        cantor._assemble(PL2, alpha, delta, L, Fraction(1, 1000), N, 3,
+                         lambda *level: picked.append(level), 96)
+    assert picked == []
+
+
 def test_tight_budget_k1_minimal():
     # L = 1/2 makes the volume constraint binding: tail(k)^{1/10} <= 1/2
     # forces tail(k) <= 2^{-10}, stricter than eps_1 = 10^{-3}
@@ -136,7 +151,7 @@ def _fraction_violation_window(spec, alpha, delta, k, N):
     """cantor._minimal_violation_window as it ran before its linear scan
     compared on raw mpf endpoints: a Fraction per endpoint of every cell."""
     expo = alpha - delta
-    for M, lhs, rhs in cantor.window_scan(spec, k, alpha, expo, N + 1, cantor._LINEAR_M_CAP):
+    for M, lhs, rhs in every_cell(spec, k, alpha, expo, N + 1, cantor._LINEAR_M_CAP):
         if upper(lhs) < lower(rhs):
             return M
     bound = upper(ipow(spec.tail_sum(k), expo))
@@ -144,6 +159,25 @@ def _fraction_violation_window(spec, alpha, delta, k, N):
         lambda M: lower(spec.power_sum(alpha, k, k + M)) > bound,
         max(N + 1, cantor._LINEAR_M_CAP + 1), cantor._INDEX_CAP, NoViolationError(),
     )
+
+
+# non-monotone: tiny weights on both sides of one large one
+_SPIKE = QVectorSpec.custom(
+    [Fraction(1, 2**28)] * 80 + [1 - Fraction(160, 2**28)] + [Fraction(1, 2**28)] * 80,
+    pad_mass=Fraction(1, 2**29),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, k, N, M",
+    [(PL2, 5000, 10, 80), (QVectorSpec.luroth(), 5000, 10, 70), (_SPIKE, 0, 0, 80), (_SPIKE, 5, 10, 75)],
+    ids=["powerlaw2", "luroth", "custom-spike-inside-a-block", "custom-spike-at-a-block-start"],
+)
+def test_window_past_the_first_block_matches_every_cell_scan(spec, k, N, M):
+    assert M >= N + 1 + faithfulness._BLOCK
+    with workprec(96):
+        assert cantor._minimal_violation_window(spec, ALPHA, DELTA, k, N) == M
+        assert _fraction_violation_window(spec, ALPHA, DELTA, k, N) == M
 
 
 # sha256 of the canonical JSON of the depth-3 build, recorded before the
@@ -159,13 +193,13 @@ def test_depth3_build_pinned():
 def _record_scans(monkeypatch) -> list:
     """Offsets of the linear window scans cantor runs from now on."""
     scanned = []
-    scan = cantor.window_scan
+    scan = cantor.row_cells
 
     def spy(spec, k, *rest):
         scanned.append(k)
         return scan(spec, k, *rest)
 
-    monkeypatch.setattr(cantor, "window_scan", spy)
+    monkeypatch.setattr(cantor, "row_cells", spy)
     return scanned
 
 
@@ -201,7 +235,7 @@ def test_skip_only_where_no_scanned_cell_violates(monkeypatch, spec):
         for k in [10, 100, 1000, 3000, 10**4, 3 * 10**4, 10**5, 10**6]:
             if cantor._linear_scan_cannot_violate(spec, alpha, expo, k, m_min):
                 fired += 1
-                for _, lhs, rhs in cantor.window_scan(spec, k, alpha, expo, m_min, 40):
+                for _, lhs, rhs in every_cell(spec, k, alpha, expo, m_min, 40):
                     assert rigor.decide_le(rhs, lhs) is True
     assert fired >= 2
 

@@ -172,6 +172,38 @@ def test_scan_condition_rejects_negative_windows(qvec_files, tmp_path, capsys, g
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--N", "-5"], ["--L", "0"], ["--L", "1"], ["--alpha", "1/5"], ["--delta", "0"]],
+    ids=["negative-N", "zero-L", "unit-L", "alpha-below-delta", "zero-delta"],
+)
+def test_cantor_build_refuses_bad_parameters_with_one_error_line(qvec_files, tmp_path, capsys, bad):
+    args = {"--alpha": "2/5", "--delta": "1/5", "--L": "1/2", "--N": "10"}
+    args.update([bad])
+    path = tmp_path / "cantor.json"
+    rc = main(["cantor", "build", "--qvec", qvec_files["powerlaw"], "--depth", "3",
+               *(x for kv in args.items() for x in kv), "--out", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ParameterRangeError)")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_cover_refuses_negative_max_blocks(qvec_files, tmp_path, capsys):
+    path = tmp_path / "lazy.json"
+    rc = main(["cover", "--qvec", qvec_files["luroth"], "--a", "0", "--b", "end",
+               "--alpha", "1/2", "--delta", "1/5", "--mode", "lazy_stream",
+               "--max-blocks", "-1", "--out", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ParameterRangeError)")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_cantor_pipeline(qvec_files, tmp_path, capsys):
     spec_path = tmp_path / "cantor.json"
     rc = main([

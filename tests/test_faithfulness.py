@@ -27,12 +27,13 @@ from qinfty.faithfulness import (
     ConditionQuery,
     ConditionVerdict,
     check_condition,
+    row_cells,
     scan_condition_region,
     window_fast_margin,
-    window_scan,
 )
 from qinfty.qvector import QVectorSpec
 from qinfty.rigor import ipow, lower, upper, workprec
+from window_cells import every_cell
 
 GEO = QVectorSpec.geometric(Fraction(1, 2))
 LUR = QVectorSpec.luroth()
@@ -229,12 +230,13 @@ def test_scan_unsorted_m_grid_allowed():
 
 def test_scan_rejects_non_monotone_row(monkeypatch):
     # bounds of sums of positive terms cannot shrink as M grows
-    real_rhs = faithfulness._rhs
+    real_cell = faithfulness._cell
 
-    def shrinking_rhs(spec, n, M, alpha):
-        return real_rhs(spec, n, 100 - M, alpha)
+    def shrinking_rhs(spec, n, M, alpha, expo, start):
+        lhs, _ = real_cell(spec, n, M, alpha, expo, start)
+        return lhs, real_cell(spec, n, 100 - M, alpha, expo, start)[1]
 
-    monkeypatch.setattr(faithfulness, "_rhs", shrinking_rhs)
+    monkeypatch.setattr(faithfulness, "_cell", shrinking_rhs)
     with pytest.raises(QinftyError, match=r"row n=20: .* M=30 to M=40"):
         scan_condition_region(GEO, ALPHA_HALF, DELTA_TENTH, [20], [30, 40])
 
@@ -284,7 +286,8 @@ def test_margins_monotone_diagnostics():
 def test_window_scan_cells_overlap_closed_forms(spec, n, m_min, m_max):
     alpha, expo = Fraction(2, 5), Fraction(3, 10)
     with workprec(96):
-        cells = list(window_scan(spec, n, alpha, expo, m_min, m_max))
+        # an infinite floor opens every block
+        cells = list(row_cells(spec, n, alpha, expo, m_min, m_max, lambda: mp.inf))
         assert [M for M, _, _ in cells] == list(range(m_min, m_max + 1))
         for M, lhs, rhs in cells:
             lhs_closed = ipow(spec.range_sum(n, n + M), expo)
@@ -311,15 +314,13 @@ def _fraction_check_row(spec, query, n):
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
     if spec.power_tail_converges(alpha):
-        fast = lower(faithfulness._lhs(spec, n, m_min, expo)) - upper(
-            faithfulness._rhs(spec, n, None, alpha)
-        )
+        fast = lower(faithfulness._lhs(spec, n, m_min, expo)) - upper(spec.power_sum(alpha, n))
         if fast >= 0:
             return fast
 
     margin = None
     undecided = False
-    for M, lhs, rhs in window_scan(spec, n, alpha, expo, m_min, query.M_max):
+    for M, lhs, rhs in every_cell(spec, n, alpha, expo, m_min, query.M_max):
         if upper(lhs) < lower(rhs):
             raise faithfulness._Violation(n, M, upper(lhs), lower(rhs))
         cell = lower(lhs) - upper(rhs)
@@ -330,7 +331,7 @@ def _fraction_check_row(spec, query, n):
 
     lhs_inf = faithfulness._lhs(spec, n, None, expo)
     if spec.power_tail_converges(alpha):
-        rhs_inf = faithfulness._rhs(spec, n, None, alpha)
+        rhs_inf = spec.power_sum(alpha, n)
         if upper(lhs_inf) < lower(rhs_inf):
             raise faithfulness._Violation(n, None, upper(lhs_inf), lower(rhs_inf))
         cell = lower(lhs_inf) - upper(rhs_inf)
@@ -378,6 +379,28 @@ def test_verdict_matches_fraction_cell_loop(monkeypatch, bits, spec, query):
     assert check_condition(spec, query, prec=bits).to_json() == verdict
 
 
+@pytest.mark.parametrize(
+    "spec, query",
+    [(LUR, _WORKLOAD_LUROTH),
+     # row 4 misses the fast margin and row 5 meets it
+     (GEO, ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200)),
+     (PL2, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 5, 8, 60))],
+    ids=["luroth-workload", "geometric", "powerlaw2"],
+)
+def test_convergent_row_sums_its_power_tail_once(monkeypatch, spec, query):
+    power_sum = QVectorSpec.power_sum
+    tails = []
+
+    def spy(self, s, a, b=None):
+        if b is None:
+            tails.append(a)
+        return power_sum(self, s, a, b)
+
+    monkeypatch.setattr(QVectorSpec, "power_sum", spy)
+    assert check_condition(spec, query).outcome == HOLDS
+    assert tails == list(range(query.N + 1, query.n_max + 1))
+
+
 def _block_and_fraction_verdicts(spec, query, bits, block):
     with patch.object(faithfulness, "_BLOCK", block):
         verdict = check_condition(spec, query, prec=bits).to_json()
@@ -404,7 +427,7 @@ def _row_queries(draw):
 # an undecided cell at 16 bits, then a violated limit cell
 @example(spec=LUR, query=ConditionQuery(Fraction(3, 5), Fraction(2, 5), 33, 34, 60), bits=16, block=32)
 @example(spec=LUR, query=_WORKLOAD_LUROTH, bits=16, block=32)  # escalates to 32 bits
-# the least gap lies inside a block kept unopened during the scan
+# the least gap lies in a block opened only because its bound is below the running minimum
 @example(spec=GEO, query=ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200), bits=64, block=32)
 @example(spec=CUSTOM, query=ConditionQuery(Fraction(31, 40), Fraction(1, 40), 3, 5, 200), bits=64, block=32)
 @example(spec=PL2, query=ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5), bits=24, block=3)
@@ -417,7 +440,7 @@ def test_block_scan_matches_fraction_cell_loop(spec, query, bits, block):
     alpha, expo = query.alpha, query.alpha - query.delta
     with workprec(bits):
         for n in range(query.N + 1, query.n_max + 1):
-            cells = list(window_scan(spec, n, alpha, expo, query.N + 1, query.M_max))
+            cells = list(every_cell(spec, n, alpha, expo, query.N + 1, query.M_max))
             for (_, lhs0, rhs0), (_, lhs1, rhs1) in zip(cells, cells[1:]):
                 assert lower(lhs0) <= lower(lhs1) and upper(rhs0) <= upper(rhs1)
 
