@@ -19,17 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from mpmath import iv
+
 from . import rigor
 from .errors import (
     BudgetInfeasibleError,
-    CapacityError,
     InvalidAddressError,
     NoViolationError,
     ParameterRangeError,
+    Undecided,
 )
 from .faithfulness import row_cells, window_fast_margin
 from .qvector import QVectorSpec
-from .rigor import DEFAULT_PREC, Num, endpoints, ipow, lower, to_iv, upper, workprec
+from .rigor import DEFAULT_PREC, Num, endpoints, ipow, lower, to_iv, upper
 
 PHI_SPLIT = "phi_split"
 BLOCK_UNION = "block_union"
@@ -59,6 +61,8 @@ class CantorLevel:
             raise ParameterRangeError("level indices must be positive")
         if not 0 < self.gamma_lo <= self.gamma_hi:
             raise ParameterRangeError("gamma enclosure out of order")
+        if self.eps <= 0:
+            raise ParameterRangeError("level eps must be positive")
 
     def gamma_iv(self):
         return rigor.hull(self.gamma_lo, self.gamma_hi)
@@ -279,16 +283,20 @@ def _assemble(
     qvec: QVectorSpec, alpha: Fraction, delta: Fraction, L: Fraction,
     eps_first: Fraction, N: int, depth: int, pick, prec: int,
 ) -> CantorSpec:
-    """Certify levels 1..depth in turn and return the spec, refusing the
-    parameters the spec would refuse before any level is searched.
+    """Certify levels 1..depth in turn under ``rigor.escalate`` from ``prec``
+    and return the spec, refusing the parameters the spec would refuse
+    before any level is searched.
 
     ``pick(n, eps_n, prefix_pow)`` gives level n's window (k, M): the
     search of :func:`build_cantor` or a pair given to :func:`assemble_cantor`.
     """
     alpha, delta, L, eps_first = (Fraction(x) for x in (alpha, delta, L, eps_first))
     _check_parameters(alpha, delta, L, N)
-    levels: list[CantorLevel] = []
-    with workprec(prec):
+    if eps_first <= 0:
+        raise ParameterRangeError("eps_first must be positive")
+
+    def certify() -> CantorSpec:
+        levels: list[CantorLevel] = []
         prefix_pow = to_iv(1)
         for n in range(1, depth + 1):
             eps_n = eps_first / 2 ** (n - 1)
@@ -297,7 +305,9 @@ def _assemble(
                 qvec, alpha, delta, L, n, eps_n, k, M, prefix_pow
             )
             levels.append(level)
-    return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
+        return CantorSpec(qvec=qvec, alpha=alpha, delta=delta, L=L, N=N, levels=tuple(levels))
+
+    return rigor.escalate(certify, prec)
 
 
 def build_cantor(
@@ -312,19 +322,18 @@ def build_cantor(
 ) -> CantorSpec:
     """Run the per-level searches and return the assembled spec.
 
-    Level n chooses the least k_n > N certified at precision ``prec`` to
-    have tail mass at most eps_n and tail^(delta/2) times the accumulated
-    window power-sums at most L (a higher precision can give a smaller k_n),
-    then a violating window length M_n > N (minimal only up to the linear
-    cap), then certifies the level as :func:`assemble_cantor` does.  Each
-    level's choices depend on all earlier ones only through a scalar
-    product, so depth is limited by index growth rather than address counts.
+    The build climbs ``rigor.escalate`` from ``prec``.  Level n chooses the
+    least k_n > N certified on the first rung that builds to have tail mass
+    at most eps_n and tail^(delta/2) times the accumulated window power-sums
+    at most L (a higher precision can give a smaller k_n), then a violating
+    window length M_n > N (minimal only up to the linear cap), then
+    certifies the level as :func:`assemble_cantor` does.  Each level's
+    choices depend on all earlier ones only through a scalar product, so
+    depth is limited by index growth rather than address counts.
     """
-    alpha, delta, L, eps_first = (Fraction(x) for x in (alpha, delta, L, eps_first))
+    alpha, delta, L = (Fraction(x) for x in (alpha, delta, L))
     if not 1 <= depth <= _DEPTH_CAP:
         raise ParameterRangeError(f"depth must lie in 1..{_DEPTH_CAP}")
-    if eps_first <= 0:
-        raise ParameterRangeError("eps_first must be positive")
     half = delta / 2
 
     def pick(n: int, eps_n: Fraction, prefix_pow: Num) -> tuple[int, int]:
@@ -371,12 +380,14 @@ def level_volume(
     family: str,
     prec: int = DEFAULT_PREC,
 ) -> tuple[Fraction, Fraction]:
-    """Bounds on the level-n covering volume at exponent s.
+    """Bounds on the level-n covering volume at exponent s, computed under
+    ``rigor.escalate`` from ``prec``.
 
     PhiSplit treats every address cylinder separately, so the volume is
     the product over levels of the window power sums.  BlockUnion merges
     each last-level window into one interval per prefix, replacing the
-    final factor by (window mass)^s.
+    final factor by (window mass)^s.  The volume is positive, so bounds
+    whose lower end is not are Undecided on that rung.
     """
     s = Fraction(s)
     if not 1 <= n <= spec.depth:
@@ -385,7 +396,8 @@ def level_volume(
         raise ParameterRangeError("exponent s must lie in (0, 1]")
     if family not in (PHI_SPLIT, BLOCK_UNION):
         raise ParameterRangeError(f"unknown family {family!r}")
-    with workprec(prec):
+
+    def volume() -> tuple[Fraction, Fraction]:
         total = to_iv(1)
         for j in range(1, n + 1):
             lvl = spec.levels[j - 1]
@@ -393,7 +405,12 @@ def level_volume(
                 total = total * spec.qvec.power_sum(s, lvl.k, lvl.k + lvl.M)
             else:
                 total = total * ipow(spec.qvec.range_sum(lvl.k, lvl.k + lvl.M), s)
-        return endpoints(total)
+        lo, hi = endpoints(total)
+        if lo <= 0:
+            raise Undecided(f"level volume enclosure reaching down to 0 at {iv.prec} bits")
+        return lo, hi
+
+    return rigor.escalate(volume, prec)
 
 
 def _address_mass(spec: CantorSpec, addr: CantorAddress, expo: Fraction) -> Num:
@@ -408,10 +425,10 @@ def _address_mass(spec: CantorSpec, addr: CantorAddress, expo: Fraction) -> Num:
 def measure_cylinder(
     spec: CantorSpec, addr: CantorAddress, prec: int = DEFAULT_PREC
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of the normalized cylinder mass prod (1/gamma_i) q_{d_i}^alpha."""
+    """Enclosure of the normalized cylinder mass prod (1/gamma_i) q_{d_i}^alpha,
+    computed under ``rigor.escalate`` from ``prec``."""
     spec.validate_address(addr)
-    with workprec(prec):
-        return endpoints(_address_mass(spec, addr, spec.alpha))
+    return rigor.escalate(lambda: endpoints(_address_mass(spec, addr, spec.alpha)), prec)
 
 
 @dataclass(frozen=True)
@@ -434,7 +451,8 @@ def local_dim_ratio(
     spec: CantorSpec, addr: CantorAddress, t: Fraction, prec: int = DEFAULT_PREC
 ) -> RatioBound:
     """Enclosure of measure/length^t for the address cylinder, certified
-    against the level bound eps_n^(delta - t).
+    against the level bound eps_n^(delta - t) under ``rigor.escalate`` from
+    ``prec``.
 
     Requires 0 < t < delta; at t >= delta the bound direction flips and
     the certificate is meaningless.
@@ -445,15 +463,16 @@ def local_dim_ratio(
     spec.validate_address(addr)
     if addr.level == 0:
         raise InvalidAddressError("ratio needs at least one digit")
-    with workprec(prec):
+
+    def ratio() -> RatioBound:
         total = _address_mass(spec, addr, spec.alpha - t)
         eps_n = spec.levels[addr.level - 1].eps
         bound = ipow(eps_n, spec.delta - t)
         if not upper(total) <= lower(bound):
-            raise CapacityError(
-                "enclosure too wide to certify the local ratio bound"
-            )
+            raise Undecided(f"enclosure too wide to certify the local ratio bound at {iv.prec} bits")
         return RatioBound(lower(total), upper(total), lower(bound))
+
+    return rigor.escalate(ratio, prec)
 
 
 @dataclass(frozen=True)

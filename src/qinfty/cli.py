@@ -102,10 +102,12 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     spec = _load_qvec(args.qvec)
     addr = CylinderAddress.of(json.loads(args.digits))
-    with workprec(args.precision_bits):
+
+    def cylinder() -> dict:
         cyl = decode(spec, addr)
-        doc = {"left": rigor.num_to_json(cyl.left), "length": rigor.num_to_json(cyl.length)}
-    print(json.dumps(doc, separators=(",", ":")))
+        return {"left": rigor.num_to_json(cyl.left), "length": rigor.num_to_json(cyl.length)}
+
+    print(json.dumps(rigor.escalate(cylinder, args.precision_bits), separators=(",", ":")))
     return 0
 
 
@@ -201,18 +203,16 @@ def _cmd_cantor_volume(args) -> int:
         else [args.family]
     )
     grid = _parse_frac_grid(args.s_grid)
+    rows = []
+    for family in families:
+        for s in grid:
+            lo, hi = cantor_mod.level_volume(spec, level, s, family, prec=args.precision_bits)
+            rows.append([family, rigor.frac_str(s), rigor.frac_str(lo), rigor.frac_str(hi)])
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "s", "volume_lo", "volume_hi"])
-        for family in families:
-            for s in grid:
-                lo, hi = cantor_mod.level_volume(
-                    spec, level, s, family, prec=args.precision_bits
-                )
-                writer.writerow(
-                    [family, rigor.frac_str(s), rigor.frac_str(lo), rigor.frac_str(hi)]
-                )
-    print(f"cantor volume: {len(families) * len(grid)} rows -> {args.csv}")
+        writer.writerows(rows)
+    print(f"cantor volume: {len(rows)} rows -> {args.csv}")
     return 0
 
 
@@ -322,9 +322,7 @@ def _cmd_selftest(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision-bits", type=int, default=rigor.DEFAULT_PREC,
                      help="working precision in bits (default %(default)s): the "
-                     "first rung of the start/2x/4x ladder for encode, cover, "
-                     "check-condition and selftest, the one precision of "
-                     "decode, scan-condition and cantor")
+                     "first rung of the start/2x/4x ladder")
 
 
 def _build_parser() -> argparse.ArgumentParser:

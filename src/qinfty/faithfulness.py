@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from mpmath import iv
 
 from . import rigor
-from .errors import CapacityError, ParameterRangeError, QinftyError, Undecided
+from .errors import CapacityError, ParameterRangeError, Undecided
 from .qvector import QVectorSpec
 from .rigor import Num, ipow, lower, upper, workprec
 
@@ -55,8 +55,10 @@ class ConditionQuery:
             raise ParameterRangeError("need 0 < delta < alpha < 1")
         if self.N < 0:
             raise ParameterRangeError("threshold N must be nonnegative")
-        if self.n_max < self.N or self.M_max < self.N:
-            raise ParameterRangeError("search bounds must be at least N")
+        if self.n_max <= self.N:
+            raise ParameterRangeError("n_max must exceed N: the region would hold no row")
+        if self.M_max < self.N:
+            raise ParameterRangeError("M_max must be at least N")
 
 
 @dataclass(frozen=True)
@@ -335,8 +337,11 @@ def scan_condition_region(
     """Margin table over a grid; positive margins certify holds cell-wise.
 
     An M entry of None asks for the limit cell.  Rows keep grid order.
-    Within each n the lower/upper bounds are checked to be nondecreasing
-    in M, which they must be for sums of positive terms.
+    The table is computed under ``rigor.escalate`` from ``prec``.  Within
+    each n the lower/upper bounds are checked to be nondecreasing in M,
+    which the true sums of positive terms are; a decrease of the computed
+    bounds comes from enclosure width, so it raises Undecided and moves the
+    table up a rung.
 
     A limit cell over a divergent power tail has no finite right bound;
     its row stores a certified partial-sum lower bound in the rhs column
@@ -353,10 +358,11 @@ def scan_condition_region(
     if min(n_grid) < 0 or min((M for M in m_grid if M is not None), default=0) < 0:
         raise ParameterRangeError("window starts n and lengths M must be nonnegative")
     expo = alpha - delta
-    rows: list[MarginRow] = []
     start = max((m for m in m_grid if m is not None), default=1)
     diverges = not spec.power_tail_converges(alpha)
-    with workprec(prec):
+
+    def table() -> list[MarginRow]:
+        rows: list[MarginRow] = []
         for n in n_grid:
             row: list[MarginRow] = []
             for M in m_grid:
@@ -366,8 +372,10 @@ def scan_condition_region(
             by_m = sorted((c for c in row if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
                 if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:
-                    raise QinftyError(
-                        f"row n={n}: bounds decrease from M={prev.M} to M={cur.M}"
+                    raise Undecided(
+                        f"row n={n}: bounds decrease from M={prev.M} to M={cur.M} at {iv.prec} bits"
                     )
             rows.extend(row)
-    return rows
+        return rows
+
+    return rigor.escalate(table, prec)

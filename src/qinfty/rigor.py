@@ -12,7 +12,9 @@ Enclosure endpoints are binary floats, which mpmath compares and subtracts
 exactly, so comparisons between two enclosures run on the raw endpoints;
 a ``Fraction`` is built only where a bound is reported or an exact value
 takes part.  A step left undecided at the working precision raises
-``Undecided``, and :func:`escalate` retries it on the next rung of :func:`ladder`.
+``Undecided``, and :func:`escalate` retries it on the next rung of its
+ladder (start, 2x, 4x); every public entry point that takes a precision
+climbs that one ladder.
 Every bounded memo of the package is a :func:`memo`, keyed by the working
 precision, so a value cached at one precision is never served at another.
 
@@ -71,22 +73,17 @@ def memo(maxsize: int):
     return wrap
 
 
-def ladder(start: int) -> tuple[int, int, int]:
-    """Working precisions an escalating search tries in order: start, 2x, 4x."""
-    return (start, 2 * start, 4 * start)
-
-
 def escalate(fn: Callable[[], T], prec: int) -> T:
-    """fn() under :func:`workprec` on the first rung of ``ladder(prec)`` that
-    decides it: Undecided moves up a rung and propagates from the top one,
-    and any other error propagates at once."""
-    rungs = ladder(prec)
-    for bits in rungs:
+    """fn() under :func:`workprec` on the first rung of the ladder prec,
+    2*prec, 4*prec that decides it: Undecided moves up a rung and propagates
+    from the top one, and any other error propagates at once.  Every public
+    entry point that takes a ``prec`` runs its body here."""
+    for bits in (prec, 2 * prec, 4 * prec):
         try:
             with workprec(bits):
                 return fn()
         except Undecided:
-            if bits == rungs[-1]:
+            if bits == 4 * prec:
                 raise
 
 

@@ -92,16 +92,20 @@ def test_build_param_validation():
         build_cantor(PL2, ALPHA, DELTA, HALF_L, eps_first=Fraction(0))
 
 
+_EPS = Fraction(1, 1000)
+
+
 @pytest.mark.parametrize(
-    "alpha, delta, L, N",
-    [(ALPHA, DELTA, HALF_L, -5), (ALPHA, DELTA, Fraction(0), 10), (ALPHA, DELTA, Fraction(1), 10),
-     (Fraction(1, 5), DELTA, HALF_L, 10)],
-    ids=["negative-N", "zero-L", "unit-L", "alpha-below-delta"],
+    "alpha, delta, L, N, eps",
+    [(ALPHA, DELTA, HALF_L, -5, _EPS), (ALPHA, DELTA, Fraction(0), 10, _EPS),
+     (ALPHA, DELTA, Fraction(1), 10, _EPS), (Fraction(1, 5), DELTA, HALF_L, 10, _EPS),
+     (ALPHA, DELTA, HALF_L, 10, Fraction(0)), (ALPHA, DELTA, HALF_L, 10, -_EPS)],
+    ids=["negative-N", "zero-L", "unit-L", "alpha-below-delta", "zero-eps", "negative-eps"],
 )
-def test_assembly_refuses_parameters_before_any_level_search(alpha, delta, L, N):
+def test_assembly_refuses_parameters_before_any_level_search(alpha, delta, L, N, eps):
     picked = []
     with pytest.raises(ParameterRangeError):
-        cantor._assemble(PL2, alpha, delta, L, Fraction(1, 1000), N, 3,
+        cantor._assemble(PL2, alpha, delta, L, eps, N, 3,
                          lambda *level: picked.append(level), 96)
     assert picked == []
 

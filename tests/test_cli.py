@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line entry point via main(argv)."""
 
 import csv
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 
+from qinfty import cantor, faithfulness, rigor
 from qinfty.cli import main
 from qinfty.qvector import QVectorSpec
 
@@ -191,6 +193,18 @@ def test_cantor_build_refuses_bad_parameters_with_one_error_line(qvec_files, tmp
     assert not path.exists()
 
 
+def test_check_condition_refuses_an_empty_region(qvec_files, tmp_path, capsys):
+    path = tmp_path / "verdict.json"
+    rc = main(["check-condition", "--qvec", qvec_files["luroth"], "--alpha", "9/10",
+               "--delta", "1/5", "--N", "0", "--n-max", "0", "--M-max", "0", "--out", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ParameterRangeError)")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_cover_refuses_negative_max_blocks(qvec_files, tmp_path, capsys):
     path = tmp_path / "lazy.json"
     rc = main(["cover", "--qvec", qvec_files["luroth"], "--a", "0", "--b", "end",
@@ -343,10 +357,13 @@ _MEASURE = ["cantor", "measure", "--address", "[1]", "--spec"]
         (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "k": [1]}]}),
         (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "gamma_lo": 1}]}),
         (_MEASURE, {**_CANTOR, "alpha": 0.4}),
+        (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "eps": "-1/1000"}]}),
+        (_MEASURE, {**_CANTOR, "levels": [{**_LEVEL, "eps": "0"}]}),
     ],
     ids=["qvec-list", "qvec-string", "cantor-list", "cantor-qvec-list", "cantor-levels-number",
          "cantor-level-list", "custom-weights-number", "custom-pad-list", "cantor-N-null",
-         "cantor-k-list", "cantor-gamma-number", "cantor-alpha-number"],
+         "cantor-k-list", "cantor-gamma-number", "cantor-alpha-number", "cantor-eps-negative",
+         "cantor-eps-zero"],
 )
 def test_non_object_config_exits_one_with_one_error_line(tmp_path, capsys, argv, doc):
     path = tmp_path / "config.json"
@@ -408,3 +425,106 @@ def test_precision_flag_respected(qvec_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     # interval-mode family: enclosure output, not a bare fraction
     assert set(doc["left"]) == {"lo", "hi", "approx"}
+
+
+# the (k, M) windows of the README's depth-3 build; assembling them only
+# certifies the levels, so these tests skip the level searches
+_LEVELS3 = (
+    (623, 28),
+    (391229168928, 9969947),
+    (15077805697091490865457380853356083192456167498956239011839,
+     89301548008977962532537502357520384),
+)
+_GAP_GRID = "1/20,1/10,3/20,1/5,1/4,3/10"
+
+
+def _assemble3() -> cantor.CantorSpec:
+    return cantor.assemble_cantor(QVectorSpec.powerlaw(2), Fraction(2, 5), Fraction(1, 5),
+                                  Fraction(1, 2), Fraction(1, 1000), 10, _LEVELS3)
+
+
+_depth3 = functools.lru_cache(maxsize=None)(_assemble3)
+
+
+@pytest.fixture()
+def cantor3(tmp_path):
+    path = tmp_path / "cantor3.json"
+    path.write_text(json.dumps(_depth3().to_json()))
+    return str(path)
+
+
+def _csv_at(argv, path, bits) -> bytes:
+    assert main(argv + ["--csv", str(path), "--precision-bits", str(bits)]) == 0
+    return path.read_bytes()
+
+
+def test_scan_condition_climbs_past_a_low_first_rung(qvec_files, tmp_path, capsys):
+    # at 16 bits the M=1000 bounds of row 50 fall below the M=100 ones
+    argv = ["scan-condition", "--qvec", qvec_files["powerlaw"], "--alpha", "2/5",
+            "--delta", "1/10", "--n-grid", "50,100,200", "--M-grid", "100,1000,inf"]
+    assert _csv_at(argv, tmp_path / "m16.csv", 16) == _csv_at(argv, tmp_path / "m32.csv", 32)
+    capsys.readouterr()
+
+
+def test_cantor_volume_climbs_past_a_low_first_rung(cantor3, tmp_path, capsys):
+    # at 64 bits every phi_split volume enclosure reaches below zero
+    argv = ["cantor", "volume", "--spec", cantor3, "--s-grid", "1/10,3/20,1/5"]
+    assert _csv_at(argv, tmp_path / "v64.csv", 64) == _csv_at(argv, tmp_path / "v128.csv", 128)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bits", [24, 64])
+def test_cantor_gap_separates_from_a_low_first_rung(cantor3, tmp_path, capsys, bits):
+    path = tmp_path / "gap.json"
+    rc = main(["cantor", "gap", "--spec", cantor3, "--s-grid", _GAP_GRID, "--out", str(path),
+               "--precision-bits", str(bits)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("separated: True\n")
+    doc = json.loads(path.read_text())
+    assert doc["phi_split"]["bracket"] == ["1/4", "3/10"]
+    assert doc["block_union"]["bracket"] == ["1/20", "1/10"]
+    assert doc["separation_certified"] is True
+
+
+def test_failed_cantor_volume_leaves_no_csv(cantor3, tmp_path, capsys):
+    # the rows at s = 1/10 certify before s = 3/2 is refused
+    path = tmp_path / "vol.csv"
+    rc = main(["cantor", "volume", "--spec", cantor3, "--s-grid", "1/10,3/2", "--csv", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error (ParameterRangeError)")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
+_ENTRY_POINTS = {
+    "scan_condition_region": lambda spec3, files: faithfulness.scan_condition_region(
+        QVectorSpec.powerlaw(2), Fraction(2, 5), Fraction(1, 10), [50], [100, None]),
+    "build_cantor": lambda spec3, files: cantor.build_cantor(
+        QVectorSpec.powerlaw(2), Fraction(2, 5), Fraction(1, 5), Fraction(1, 2)),
+    "assemble_cantor": lambda spec3, files: _assemble3(),
+    "level_volume": lambda spec3, files: cantor.level_volume(
+        spec3, 3, Fraction(1, 10), cantor.PHI_SPLIT),
+    "measure_cylinder": lambda spec3, files: cantor.measure_cylinder(
+        spec3, cantor.CantorAddress((630, 391229168930))),
+    "local_dim_ratio": lambda spec3, files: cantor.local_dim_ratio(
+        spec3, cantor.CantorAddress((630,)), Fraction(1, 10)),
+    "cli-decode": lambda spec3, files: main(
+        ["decode", "--qvec", files["powerlaw"], "--digits", "[2,0,5]"]),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_entry_point_enters_one_rung_at_the_default_precision(monkeypatch, qvec_files, capsys, entry):
+    spec3 = _depth3()
+    rungs = []
+    real = rigor.workprec
+
+    def spy(bits):
+        rungs.append(bits)
+        return real(bits)
+
+    monkeypatch.setattr(rigor, "workprec", spy)
+    _ENTRY_POINTS[entry](spec3, qvec_files)
+    assert rungs == [rigor.DEFAULT_PREC]
+    capsys.readouterr()

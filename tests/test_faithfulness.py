@@ -147,12 +147,10 @@ def test_one_term_window_excluded_and_trivially_fine():
             assert lower(ipow(q, Fraction(2, 5))) >= upper(ipow(q, ALPHA_HALF))
 
 
-def test_empty_region_holds_vacuously():
-    query = ConditionQuery(ALPHA_HALF, DELTA_TENTH, 5, 5, 5)
-    verdict = check_condition(GEO, query)
-    assert verdict.outcome == HOLDS
-    assert verdict.margins == ()
-    assert verdict.min_margin() is None
+def test_empty_region_is_refused():
+    # n_max == N leaves no row, and a hold on no row certifies nothing
+    with pytest.raises(ParameterRangeError, match="n_max must exceed N"):
+        ConditionQuery(ALPHA_HALF, DELTA_TENTH, 5, 5, 5)
 
 
 def test_inconclusive_names_top_rung(monkeypatch):
@@ -414,7 +412,7 @@ def _row_queries(draw):
     d = draw(st.integers(1, a - 1))
     N = draw(st.integers(0, 40))
     return ConditionQuery(Fraction(a, 40), Fraction(d, 40), N,
-                          N + draw(st.integers(0, 2)), draw(st.integers(N, 300)))
+                          N + draw(st.integers(1, 3)), draw(st.integers(N, 300)))
 
 
 @settings(deadline=None, max_examples=30)
