@@ -71,16 +71,16 @@ def _parse_point(text: str):
     raise ValueError(f"endpoint must be '0', 'end', or 'digits:[...]', got {text!r}")
 
 
-def _parse_int_grid(text: str) -> list[Optional[int]]:
-    out: list[Optional[int]] = []
-    for part in text.split(","):
-        part = part.strip()
-        out.append(None if part == "inf" else int(part))
-    return out
+def _parse_grid(text: str, option: str, parse) -> list:
+    """Each entry of a comma list through ``parse``; an empty list or entry is refused."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
+        raise ParameterRangeError(f"{option} needs a comma list with no empty entry, got {text!r}")
+    return [parse(part) for part in parts]
 
 
 def _parse_frac_grid(text: str) -> list[Fraction]:
-    return [parse_frac(part) for part in text.split(",") if part.strip()]
+    return _parse_grid(text, "--s-grid", parse_frac)
 
 
 def _emit(doc: dict, out_path: Optional[str]) -> None:
@@ -159,8 +159,8 @@ def _cmd_scan_condition(args) -> int:
         spec,
         parse_frac(args.alpha),
         parse_frac(args.delta),
-        [int(n) for n in args.n_grid.split(",")],
-        _parse_int_grid(args.M_grid),
+        _parse_grid(args.n_grid, "--n-grid", int),
+        _parse_grid(args.M_grid, "--M-grid", lambda M: None if M == "inf" else int(M)),
         prec=args.precision_bits,
     )
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -32,6 +32,10 @@ _LUR_DIRECT = 600
 # Holds the indices of one check-condition row up to M_max = 4095, or of the
 # Cantor linear scan; consecutive rows share almost all of their indices.
 _WEIGHT_POWERS = 4096
+# Twice the distinct tail sums (about 450) or power sums (about 530) of one
+# README pipeline, most of them from the depth-3 Cantor build: a memo smaller
+# than a pass that repeats its keys in the same order would get no hits.
+_SUM_MEMO = 1024
 
 
 @rigor.memo(64)
@@ -52,6 +56,15 @@ class QVectorSpec:
     m0: Optional[Fraction] = None
     weights: Optional[tuple[Fraction, ...]] = None
     pad_mass: Optional[Fraction] = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, taken once: a memo lookup would
+        otherwise rehash every custom weight."""
+        return hash((self.family, self.ratio, self.m0, self.weights, self.pad_mass))
 
     # -- construction -------------------------------------------------
 
@@ -159,8 +172,14 @@ class QVectorSpec:
             return self._norm_const() * powsum(self.m0, Fraction(0), 1, n)
         return 1 - self.tail_sum(n)
 
+    @rigor.memo(_SUM_MEMO)
     def tail_sum(self, n: int) -> Num:
-        """sum_{i>=n} q_i, strictly decreasing to zero."""
+        """sum_{i>=n} q_i, strictly decreasing to zero.
+
+        Memoized per (spec, n, precision) in a least-recently-used memo of
+        1024 entries, so a process that repeats a tail gets the bits it
+        computed before.
+        """
         if n < 0:
             raise ParameterRangeError("tail_sum index must be nonnegative")
         if self.family == "geometric":
@@ -203,11 +222,14 @@ class QVectorSpec:
             return self.m0 * s > 1
         return True
 
+    @rigor.memo(_SUM_MEMO)
     def power_sum(self, s: Fraction, a: int, b: Optional[int] = None) -> Num:
         """Enclosure of sum_{i=a}^{b} q_i^s (b=None for the infinite tail).
 
         Raises CapacityError on a certified-divergent infinite tail; call
         :meth:`power_tail_converges` first when divergence is expected.
+        Memoized like :meth:`tail_sum`, per (spec, s, a, b, precision) as
+        passed, so ``b=`` by keyword is keyed apart from ``b`` by position.
         """
         s = Fraction(s)
         if s <= 0:

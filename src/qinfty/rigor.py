@@ -58,14 +58,16 @@ MEMOS: list = []  # every memo made by :func:`memo`, for clearing and hit counts
 
 def memo(maxsize: int):
     """Least-recently-used memo of at most ``maxsize`` results, keyed by
-    ``iv.prec`` and the positional arguments; the wrapper keeps
-    ``cache_info`` and ``cache_clear``, and joins :data:`MEMOS`."""
+    ``iv.prec`` and the arguments as passed: a keyword call is forwarded
+    and keyed apart from the positional call, which gives the same value.
+    The wrapper keeps ``cache_info`` and ``cache_clear``, and joins
+    :data:`MEMOS`."""
     def wrap(fn):
-        cached = lru_cache(maxsize)(lambda prec, *args: fn(*args))
+        cached = lru_cache(maxsize)(lambda prec, *args, **kwargs: fn(*args, **kwargs))
 
         @wraps(fn)
-        def at_prec(*args):
-            return cached(iv.prec, *args)
+        def at_prec(*args, **kwargs):
+            return cached(iv.prec, *args, **kwargs)
 
         at_prec.cache_info, at_prec.cache_clear = cached.cache_info, cached.cache_clear
         MEMOS.append(at_prec)

@@ -497,6 +497,30 @@ def test_failed_cantor_volume_leaves_no_csv(cantor3, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [("--s-grid", ["cantor", "volume", "--s-grid", "", "--csv"]),
+     ("--s-grid", ["cantor", "volume", "--s-grid", "1/10,,1/5", "--csv"]),
+     ("--s-grid", ["cantor", "gap", "--s-grid", "", "--out"]),
+     ("--s-grid", ["cantor", "gap", "--s-grid", "1/10,", "--out"]),
+     ("--n-grid", ["scan-condition", "--n-grid", "", "--M-grid", "100", "--csv"]),
+     ("--M-grid", ["scan-condition", "--n-grid", "50", "--M-grid", " ", "--csv"]),
+     ("--M-grid", ["scan-condition", "--n-grid", "50", "--M-grid", "100,,inf", "--csv"])],
+    ids=["volume", "volume-entry", "gap", "gap-entry", "scan-n", "scan-M", "scan-M-entry"],
+)
+def test_empty_grid_exits_one_naming_the_option(cantor3, qvec_files, tmp_path, capsys, option, argv):
+    path = tmp_path / "out"
+    inputs = (["--spec", cantor3] if argv[0] == "cantor" else
+              ["--qvec", qvec_files["powerlaw"], "--alpha", "2/5", "--delta", "1/10"])
+    rc = main(argv[:-1] + inputs + [argv[-1], str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error (ParameterRangeError): {option} ")
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 _ENTRY_POINTS = {
     "scan_condition_region": lambda spec3, files: faithfulness.scan_condition_region(
         QVectorSpec.powerlaw(2), Fraction(2, 5), Fraction(1, 10), [50], [100, None]),

@@ -463,7 +463,7 @@ def test_block_scan_edge_rows(spec, query, outcome, bits):
         assert verdict["witness"] == {"n": 3, "M": "inf"}
 
 
-def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch):
+def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memos):
     query = ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 200, 10**4)
     memoized = QVectorSpec.weight_power
     calls = []
@@ -502,11 +502,11 @@ def _unmemoized_weight_power(self, i, s):
     return ipow(self.q(i), s)
 
 
-def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch):
+def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch, clear_memos):
     query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 20, 200)
-    QVectorSpec.weight_power.cache_clear()
     cold = check_condition(LUR, query).to_json()
     warm = check_condition(LUR, query).to_json()
+    clear_memos()  # so the sums that read weight powers are taken again
     monkeypatch.setattr(QVectorSpec, "weight_power", _unmemoized_weight_power)
     assert cold == warm == check_condition(LUR, query).to_json()
     assert cold["outcome"] == HOLDS and len(cold["margins"]) == 3

@@ -286,22 +286,80 @@ _SHUFFLED = QVectorSpec.custom([Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), 
 
 @pytest.mark.parametrize("bits", [53, 96, 192])
 @pytest.mark.parametrize("s", [Fraction(9, 10), Fraction(2, 5), Fraction(3, 2)])
-def test_power_sums_same_with_cold_and_warm_weight_power_memo(bits, s):
+def test_power_sums_same_with_cold_and_warm_weight_power_memo(clear_memos, bits, s):
     ranges = [(0, 0), (3, 40), (100, 699), (20, 1500), (7, None)]
     with workprec(bits):
         for a, b in ranges:
             if b is None and not LUR.power_tail_converges(s):
                 continue
-            QVectorSpec.weight_power.cache_clear()
+            clear_memos()
             cold = LUR.power_sum(s, a, b)._mpi_
             assert LUR.power_sum(s, a, b)._mpi_ == cold
             assert _old_luroth_power_sum(s, a, b)._mpi_ == cold
         for spec in (CUSTOM, _SHUFFLED):
             for a, b in [(0, 1), (1, 2), (0, 9), (2, None), (5, None)]:
-                QVectorSpec.weight_power.cache_clear()
+                clear_memos()
                 cold = spec.power_sum(s, a, b)._mpi_
                 assert spec.power_sum(s, a, b)._mpi_ == cold
                 assert _old_custom_power_sum(spec, s, a, b)._mpi_ == cold
+
+
+def _bits_of(x):
+    """A sum's exact value: the Fraction itself, or an enclosure's endpoint tuple."""
+    return x if isinstance(x, Fraction) else x._mpi_
+
+
+# _SHUFFLED has four user weights, so indices from 4 on are its geometric pad;
+# Luroth sums longer than 600 terms add the squeezed tail to a memoized head
+_TAIL_INDICES = (0, 1, 3, 4, 7, 50, 1000)
+_POWER_RANGES = [(0, 0), (3, 40), (0, 9), (5, 30), (100, 699), (20, 1500), (2, None), (7, None)]
+
+
+@pytest.mark.parametrize("bits", [16, 53, 96, 192])
+@pytest.mark.parametrize("spec", [LUR, GEO3, PL2, _SHUFFLED], ids=["luroth", "geometric", "powerlaw2", "custom"])
+def test_sum_memos_give_the_unmemoized_bits(monkeypatch, clear_memos, spec, bits):
+    powers = [(s, a, b) for s in (Fraction(9, 10), Fraction(2, 5), Fraction(1), Fraction(3, 2))
+              for a, b in _POWER_RANGES if b is not None or spec.power_tail_converges(s)]
+    with workprec(bits):
+        cold = [_bits_of(spec.tail_sum(n)) for n in _TAIL_INDICES]
+        cold_powers = [_bits_of(spec.power_sum(*key)) for key in powers]
+        assert [_bits_of(spec.tail_sum(n)) for n in _TAIL_INDICES] == cold
+        assert [_bits_of(spec.power_sum(*key)) for key in powers] == cold_powers
+        # the method bodies alone, their nested sum calls unmemoized too
+        monkeypatch.setattr(QVectorSpec, "tail_sum", QVectorSpec.tail_sum.__wrapped__)
+        monkeypatch.setattr(QVectorSpec, "power_sum", QVectorSpec.power_sum.__wrapped__)
+        assert [_bits_of(spec.tail_sum(n)) for n in _TAIL_INDICES] == cold
+        assert [_bits_of(spec.power_sum(*key)) for key in powers] == cold_powers
+
+
+def test_keyword_call_gives_the_positional_bits(clear_memos):
+    s = Fraction(9, 10)
+    with workprec(53):
+        for spec in (LUR, GEO3, PL2, _SHUFFLED):
+            for a, b in [(5, 50), (5, 700), (2, None)]:
+                positional = spec.power_sum(s, a, b)._mpi_
+                assert spec.power_sum(s, a, b=b)._mpi_ == positional
+                assert spec.power_sum(s=s, a=a, b=b)._mpi_ == positional
+            assert _bits_of(spec.tail_sum(n=7)) == _bits_of(spec.tail_sum(7))
+
+
+def test_spec_hashes_its_fields_once(monkeypatch):
+    halves = [Fraction(1, 2**i) for i in range(1, 2000)]
+    spec, twin = (QVectorSpec.custom(halves + [halves[-1]], Fraction(1, 2**2100)) for _ in range(2))
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def spy(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", spy)
+    first = hash(spec)
+    assert len(hashed) >= 2000
+    hashed.clear()
+    assert hash(spec) == first
+    assert hashed == []
+    assert twin == spec and hash(twin) == first
 
 
 @pytest.mark.parametrize("spec", [LUR, GEO3, PL2, _SHUFFLED], ids=["luroth", "geometric", "powerlaw2", "custom"])

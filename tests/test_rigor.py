@@ -357,26 +357,28 @@ def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
 
 
 def test_memo_caches_are_bounded():
-    assert len(rigor.MEMOS) == 7
+    assert len(rigor.MEMOS) == 9
     for cached in rigor.MEMOS:
         assert cached.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("order", [(53, 96), (96, 53)])
-def test_memos_are_keyed_by_the_working_precision(order):
-    spec = QVectorSpec.luroth()
+def test_memos_are_keyed_by_the_working_precision(order, clear_memos):
+    spec, pl2 = QVectorSpec.luroth(), QVectorSpec.powerlaw(2)
     i, s = 7, Fraction(2, 5)
-    rigor._exponent.cache_clear()
-    QVectorSpec.weight_power.cache_clear()
     seen = []
     for bits in order:
         with workprec(bits):
-            # neither memo may serve the value it computed at the other precision
+            # no memo may serve the value it computed at the other precision
             assert rigor._exponent(1, 3)._mpi_ == to_iv(Fraction(1, 3))._mpi_
             power = spec.weight_power(i, s)._mpi_
             assert power == (to_iv(spec.q(i)) ** to_iv(s))._mpi_
-            seen.append(power)
-    assert seen[0] != seen[1]
+            tail = pl2.tail_sum(i)._mpi_
+            assert tail == QVectorSpec.tail_sum.__wrapped__(pl2, i)._mpi_
+            power_sum = spec.power_sum(s, i, 40)._mpi_
+            assert power_sum == QVectorSpec.power_sum.__wrapped__(spec, s, i, 40)._mpi_
+            seen.append((power, tail, power_sum))
+    assert all(x != y for x, y in zip(*seen))
 
 
 # --- raw-endpoint comparisons against the Fraction-endpoint definitions ------
