@@ -27,7 +27,6 @@ from .covering import (
     cover_interval,
     kappa,
     lemma1_partition,
-    TailStream,
 )
 from .errors import ParameterRangeError, QinftyError
 from .expansion import (
@@ -72,11 +71,19 @@ def _parse_point(text: str):
 
 
 def _parse_grid(text: str, option: str, parse) -> list:
-    """Each entry of a comma list through ``parse``; an empty list or entry is refused."""
+    """Each entry of a comma list through ``parse``; an empty list or entry,
+    or one that ``parse`` refuses, is refused with the option named."""
     parts = [part.strip() for part in text.split(",")]
     if not all(parts):
         raise ParameterRangeError(f"{option} needs a comma list with no empty entry, got {text!r}")
-    return [parse(part) for part in parts]
+
+    def entry(part: str):
+        try:
+            return parse(part)
+        except ValueError as exc:
+            raise ParameterRangeError(f"{option} entry {part!r} is malformed: {exc}") from exc
+
+    return [entry(part) for part in parts]
 
 
 def _parse_frac_grid(text: str) -> list[Fraction]:
@@ -269,7 +276,7 @@ def _selftest_checks(spec: QVectorSpec, seed: int, prec: int):
             ok = ok and lo <= x < hi
         yield "encode/decode containment (25 points)", ok
 
-        part = lemma1_partition(TailStream.from_qvector(spec, 0), Fraction(1, 2))
+        part = lemma1_partition(spec, 0, Fraction(1, 2))
         yield "greedy tail partition verifies", part.verify(groups=6)
 
         w_up, k_up = kappa(spec, Fraction(1, 2), Fraction(1, 5))

@@ -6,12 +6,15 @@ main entry point, :func:`cover_interval`, covers a half-open interval
 intervals, and certifies an alpha-volume bound of the form
 ``K(alpha, delta) * |E|^(alpha - delta)``.
 
-The tail partition used on the left part is a greedy tail-halving scheme:
-cut the stream where the tail mass first drops below half the previous
-target, so the group masses are dominated by a geometric sequence and the
-alpha-power series telescopes against the head group.  The defining
-inequality is re-verified numerically on every construction instead of
-being trusted.
+The tail partition used on each partitioned tail is a greedy tail-halving
+scheme over the spec's weights from the tail's first digit on, read
+through ``QVectorSpec.tail_sum`` and ``range_sum``: cut where the tail mass
+first drops below half the previous target, so the group masses are
+dominated by a geometric sequence and the alpha-power series telescopes
+against the head group.  The defining inequality is re-verified
+numerically on every construction instead of being trusted.  Two memos of
+256 entries each, :func:`lemma1_partition` and :func:`kappa`, share
+partitions and covering constants between covers at one working precision.
 
 All bound checks compare an upper bound of the left-hand side against a
 lower bound of the right-hand side; a check that cannot be certified at
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from mpmath import iv
 
@@ -90,74 +93,24 @@ def block_bounds(spec: QVectorSpec, block: Block) -> tuple[Num, Num]:
 
 
 def alpha_volume(spec: QVectorSpec, blocks, alpha: Fraction) -> Num:
-    """Enclosure of sum |block|^alpha; the upper endpoint is the certified bound.
-
-    With alpha = 1 on an exact-mode spec the result is an exact Fraction.
-    """
+    """Enclosure of sum |block|^alpha; the upper endpoint is the certified bound."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ParameterRangeError("alpha must lie in (0, 1]")
-    blocks = list(blocks)
-    if not blocks:
-        return spec.num(0)
-    if alpha == 1 and spec.is_exact:
-        return sum(block_length(spec, blk) for blk in blocks)
     total = to_iv(0)
     for blk in blocks:
         total = total + ipow(block_length(spec, blk), alpha)
     return total
 
 
-# --- tail streams and the greedy partition ----------------------------------
-
-@dataclass(frozen=True)
-class TailStream:
-    """Positive summable stream described by its rigorous tail sums.
-
-    ``tail_fn(n)`` must return (an enclosure of) sum_{j > n} a_j for
-    n >= -1, so tail_fn(-1) is the total mass.  ``range_fn(i, j)``, when
-    provided, returns sum_{i <= k <= j} a_k more tightly than a difference
-    of tails.
-    """
-
-    tail_fn: Callable[[int], Num]
-    range_fn: Optional[Callable[[int, int], Num]] = None
-
-    @classmethod
-    def from_qvector(cls, spec: QVectorSpec, offset: int = 0) -> "TailStream":
-        if offset < 0:
-            raise ParameterRangeError("stream offset must be nonnegative")
-
-        def tail(n: int) -> Num:
-            return spec.tail_sum(offset + n + 1)
-
-        def rng(i: int, j: int) -> Num:
-            return spec.range_sum(offset + i, offset + j)
-
-        return cls(tail, rng)
-
-    def tail(self, n: int) -> Num:
-        return self.tail_fn(n)
-
-    def total(self) -> Num:
-        return self.tail_fn(-1)
-
-    def range_mass(self, i: int, j: int) -> Num:
-        if j < i:
-            raise ParameterRangeError("empty stream range")
-        if self.range_fn is not None:
-            return self.range_fn(i, j)
-        return self.tail_fn(i - 1) - self.tail_fn(j)
-
-    def head(self, n: int) -> Num:
-        return self.range_mass(0, n)
-
+# --- the greedy tail partition ----------------------------------------------
 
 class Lemma1Partition:
     """Greedy boundaries n_1 < n_2 < ... with a verified alpha-power certificate.
 
-    Group 0 is indices [0, n_1]; group m >= 1 is (n_m, n_{m+1}].  The head
-    boundary is chosen so that
+    The partitioned stream is spec's weights from index ``offset`` on: its
+    index i is weight offset + i.  Group 0 is indices [0, n_1]; group m >= 1
+    is (n_m, n_{m+1}].  The head boundary is chosen so that
 
         upper(tail(n_1))^alpha / (1 - 2^-alpha)  <=  (mass of group 0)^alpha
 
@@ -165,11 +118,14 @@ class Lemma1Partition:
     target, so sum_{m>=1} (group m mass)^alpha is certified to stay below
     the head group's alpha-power.  Boundaries extend lazily on demand, always
     at the working precision the partition was built at, so they depend on
-    (stream, alpha, precision) alone and a partition can be shared.
+    (spec, offset, alpha, precision) alone and a partition can be shared.
     """
 
-    def __init__(self, stream: TailStream, alpha: Fraction):
-        self.stream = stream
+    def __init__(self, spec: QVectorSpec, offset: int, alpha: Fraction):
+        if offset < 0:
+            raise ParameterRangeError("partition offset must be nonnegative")
+        self.spec = spec
+        self.offset = offset
         self.alpha = Fraction(alpha)
         self.prec = iv.prec
         if not 0 < self.alpha <= 1:
@@ -181,13 +137,21 @@ class Lemma1Partition:
         )
         self._bounds: list[int] = [n1]
         # the halving targets are anchored at a fixed rational upper bound
-        self.tail_at_head: Fraction = upper(stream.tail(n1))
+        self.tail_at_head: Fraction = upper(self._tail(n1))
+
+    def _tail(self, n: int) -> Num:
+        """Mass of the stream past index n."""
+        return self.spec.tail_sum(self.offset + n + 1)
+
+    def _mass(self, i: int, j: int) -> Num:
+        """Mass of the stream's indices i..j."""
+        return self.spec.range_sum(self.offset + i, self.offset + j)
 
     # -- searches ------------------------------------------------------
 
     def _head_condition(self, n: int) -> bool:
-        t = self.stream.tail(n)
-        head = self.stream.head(n)
+        t = self._tail(n)
+        head = self._mass(0, n)
         if not lower(head) > 0:
             return False
         lhs = ipow(t, self.alpha) / self._half_alpha_factor
@@ -204,7 +168,7 @@ class Lemma1Partition:
                     m = len(self._bounds)  # computing n_{m+1}
                     target = self.tail_at_head * Fraction(1, 2**m)
                     self._bounds.append(rigor.first_true(
-                        lambda n: upper(self.stream.tail(n)) <= target,
+                        lambda n: upper(self._tail(n)) <= target,
                         self._bounds[-1] + 1, _SEARCH_CAP,
                         Undecided("no halving boundary found below the iteration cap"),
                     ))
@@ -218,8 +182,7 @@ class Lemma1Partition:
         return (self.boundary(m) + 1, self.boundary(m + 1))
 
     def group_mass(self, m: int) -> Num:
-        i, j = self.group_range(m)
-        return self.stream.range_mass(i, j)
+        return self._mass(*self.group_range(m))
 
     def series_alpha_tail(self, emitted: int) -> Fraction:
         """Upper bound on sum_{m > emitted} (group m mass)^alpha."""
@@ -236,15 +199,11 @@ class Lemma1Partition:
         return total_up <= head_low
 
 
-def lemma1_partition(stream: TailStream, alpha: Fraction) -> Lemma1Partition:
-    return Lemma1Partition(stream, alpha)
-
-
 @rigor.memo(256)
-def _tail_partition(spec: QVectorSpec, offset: int, alpha: Fraction) -> Lemma1Partition:
+def lemma1_partition(spec: QVectorSpec, offset: int, alpha: Fraction) -> Lemma1Partition:
     """The partition of spec's weights from index ``offset`` on at the working
     precision, shared by every cover that needs it."""
-    return lemma1_partition(TailStream.from_qvector(spec, offset), alpha)
+    return Lemma1Partition(spec, offset, alpha)
 
 
 # --- the covering constant ----------------------------------------------------
@@ -372,19 +331,16 @@ def _left_point(addr: CylinderAddress) -> QRational:
 class _TailJob:
     rank_offset: int  # k in the construction; 0 marks the right-part tail
     prefix: CylinderAddress
-    start_digit: int
+    part: Lemma1Partition  # its offset is the tail's first digit under prefix
 
-    def block(self, part: Lemma1Partition, m: int) -> Block:
+    def block(self, m: int) -> Block:
         """The block of group m of this tail's partition."""
-        i, j = part.group_range(m)
-        return Block(self.prefix, self.start_digit + i, self.start_digit + j)
+        i, j = self.part.group_range(m)
+        return Block(self.prefix, self.part.offset + i, self.part.offset + j)
 
 
 def _emit_tail_blocks(
-    spec: QVectorSpec,
-    job: _TailJob,
-    part: Lemma1Partition,
-    budget: Fraction,
+    spec: QVectorSpec, job: _TailJob, budget: Fraction
 ) -> tuple[list[Block], list[tuple[Fraction, Fraction]]]:
     """Blocks for one partitioned tail until the leftover fits the budget.
 
@@ -398,11 +354,11 @@ def _emit_tail_blocks(
     blocks: list[Block] = []
     while True:
         m = len(blocks)
-        start = job.start_digit + (part.boundary(m) + 1 if m else 0)
+        start = job.part.offset + (job.part.boundary(m) + 1 if m else 0)
         left = lower(cyl.left + cyl.length * spec.head_sum(start))
         if right - left <= budget:
             return blocks, [(left, right)] if right > left else []
-        blocks.append(job.block(part, m))
+        blocks.append(job.block(m))
 
 
 def _merge_adjacent(blocks: list[Block]) -> list[Block]:
@@ -462,7 +418,7 @@ def _cover_once(
 
     if right_end(prefix) == b:
         # b closes the located cylinder, so the right part is a full tail
-        jobs.append(_TailJob(0, prefix, beta1 + 1))
+        jobs.append(_TailJob(0, prefix, lemma1_partition(spec, beta1 + 1, alpha)))
     else:
         # b is a QRational: UNIT_END gets the empty prefix, whose right end is UNIT_END
         e_digit = b.digit_at(n)
@@ -480,11 +436,11 @@ def _cover_once(
         by_rank[1] = [Block(prefix, beta1, beta1)]
     for k in range(2, ell + 1):
         sub = CylinderAddress(prefix.digits + beta[: k - 1])
-        jobs.append(_TailJob(k, sub, beta[k - 1] if k == ell else beta[k - 1] + 1))
+        start = beta[k - 1] if k == ell else beta[k - 1] + 1
+        jobs.append(_TailJob(k, sub, lemma1_partition(spec, start, alpha)))
 
     lazy = params.mode == MODE_LAZY_STREAM
     budget = params.eps_res / ell
-    partitions = [(job, _tail_partition(spec, job.start_digit, alpha)) for job in jobs]
 
     residuals: list[tuple[Fraction, Fraction]] = []
     rank_heads: list[tuple[int, Block]] = []
@@ -493,18 +449,18 @@ def _cover_once(
     for blk in right_blocks:
         right_vol = right_vol + ipow(block_length(spec, blk), alpha)
 
-    for job, part in partitions:
-        head = job.block(part, 0)
+    for job in jobs:
+        head = job.block(0)
         rank_heads.append((job.rank_offset, head))
         if lazy:
             # whole-partition bound: head alpha-power plus the certified series
             head_pow = ipow(block_length(spec, head), alpha)
-            series = ipow(cylinder_length(spec, job.prefix), alpha) * to_iv(part.series_alpha_tail(0))
+            series = ipow(cylinder_length(spec, job.prefix), alpha) * to_iv(job.part.series_alpha_tail(0))
             vol = vol + head_pow + series
             if job.rank_offset == 0:
                 right_vol = right_vol + head_pow + series
             continue
-        blocks, leftover = _emit_tail_blocks(spec, job, part, budget)
+        blocks, leftover = _emit_tail_blocks(spec, job, budget)
         by_rank[job.rank_offset] = blocks
         residuals += leftover
         if job.rank_offset == 0:
@@ -516,11 +472,7 @@ def _cover_once(
     # geometric order: deepest left tail first, then up the ranks, then right
     ordered = [blk for k in range(ell, 0, -1) for blk in by_rank.get(k, ())]
     finite_blocks = _merge_adjacent(ordered + right_blocks + by_rank.get(0, []))
-
-    # an interval inside the residual budget can leave no finite blocks, and
-    # an exact spec's empty alpha_volume is a Fraction, which iv cannot add
-    if finite_blocks:
-        vol = vol + alpha_volume(spec, finite_blocks, alpha)
+    vol = vol + alpha_volume(spec, finite_blocks, alpha)
     for lo, hi in residuals:
         vol = vol + ipow(hi - lo, alpha)
 
@@ -531,17 +483,17 @@ def _cover_once(
         right_part_volume_upper=upper(right_vol),
         j1_length_upper=None if j1_block is None else upper(block_length(spec, j1_block)),
         rank_heads=tuple(rank_heads),
-        stream=_lazy_blocks(finite_blocks, partitions) if lazy else None,
+        stream=_lazy_blocks(finite_blocks, jobs) if lazy else None,
     )
 
 
-def _lazy_blocks(prelude: list[Block], partitions) -> Iterator[Block]:
+def _lazy_blocks(prelude: list[Block], jobs: list[_TailJob]) -> Iterator[Block]:
     yield from prelude
     # with no partitioned tail the stream ends after the prelude
     m = 0
-    while partitions:
-        for job, part in partitions:
-            yield job.block(part, m)
+    while jobs:
+        for job in jobs:
+            yield job.block(m)
         m += 1
 
 

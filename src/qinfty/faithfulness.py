@@ -185,21 +185,19 @@ def row_cells(
 
 
 def window_fast_margin(
-    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int,
-    tail: Optional[Num] = None,
+    spec: QVectorSpec, k: int, alpha: Fraction, expo: Fraction, m_min: int
 ) -> Optional[Fraction]:
     """Margin certified for every window [k, k+M] with M >= m_min at once.
 
     Both sides grow with M, so lower(lhs at m_min) - upper(rhs of the whole
     tail), when nonnegative, bounds every such cell's margin, the limit cell
     included.  None when that gap is negative or the power tail diverges.
-    ``tail`` is that whole power tail when the caller already holds it.
+    The tail is read as ``power_sum(alpha, k, None)``, the key the limit
+    cell of :func:`_cell` reads, so a row's two reads share one memo entry.
     """
     if not spec.power_tail_converges(alpha):
         return None
-    if tail is None:
-        tail = spec.power_sum(alpha, k)
-    margin = rigor.gap(_lhs(spec, k, m_min, expo), tail)
+    margin = rigor.gap(_lhs(spec, k, m_min, expo), spec.power_sum(alpha, k, None))
     return rigor.frac_of_mpf(margin) if margin >= 0 else None
 
 
@@ -216,18 +214,18 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
     floor, which is at least the final row minimum, itself >= 0; so it holds
     no violated or undecided cell and no gap below the minimum, and the first
     violation and the margin are those a scan of every cell finds.  A
-    convergent row sums its power tail once, for the fast margin and the
-    limit cell; a divergent limit cell is built only after the finite cells.
+    convergent row's fast margin and limit cell read its power tail under
+    one ``power_sum`` memo key, so it is summed once; a divergent limit cell
+    is built only after the finite cells.
     """
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
     limit = None
     if spec.power_tail_converges(alpha):
-        tail = spec.power_sum(alpha, n)
-        fast_margin = window_fast_margin(spec, n, alpha, expo, m_min, tail)
+        fast_margin = window_fast_margin(spec, n, alpha, expo, m_min)
         if fast_margin is not None:
             return fast_margin
-        limit = _lhs(spec, n, None, expo), tail
+        limit = _cell(spec, n, None, alpha, expo, query.M_max)
 
     # cells compare and subtract on exact mpf endpoints; the row minimum
     # becomes a Fraction once, and a violation's bounds only when it is found

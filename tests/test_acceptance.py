@@ -22,7 +22,6 @@ from qinfty.cantor import (
 )
 from qinfty.covering import (
     CoverParams,
-    TailStream,
     block_length,
     cover_interval,
     lemma1_partition,
@@ -101,17 +100,17 @@ def test_criterion_1_codec_exactness():
 def test_criterion_2_partition_certificates():
     with _criterion(2, "partition-certificates", 5):
         streams = [
-            ("geometric", TailStream.from_qvector(GEO, 0)),
-            ("luroth+0", TailStream.from_qvector(LUR, 0)),
-            ("luroth+10", TailStream.from_qvector(LUR, 10)),
-            ("luroth+100", TailStream.from_qvector(LUR, 100)),
-            ("powerlaw", TailStream.from_qvector(PL2, 0)),
+            ("geometric", GEO, 0),
+            ("luroth+0", LUR, 0),
+            ("luroth+10", LUR, 10),
+            ("luroth+100", LUR, 100),
+            ("powerlaw", PL2, 0),
         ]
         alphas = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
         with workprec(96):
-            for name, stream in streams:
+            for name, spec, offset in streams:
                 for alpha in alphas:
-                    part = lemma1_partition(stream, alpha)
+                    part = lemma1_partition(spec, offset, alpha)
                     assert part.verify(groups=8), (name, alpha)
                     acc = to_iv(0)
                     for m in range(1, 9):
@@ -119,9 +118,7 @@ def test_criterion_2_partition_certificates():
                     rest_up = upper(acc) + part.series_alpha_tail(8)
                     head_low = lower(ipow(part.group_mass(0), alpha))
                     assert head_low - rest_up > 0, (name, alpha)
-            pinned = lemma1_partition(
-                TailStream.from_qvector(GEO, 0), Fraction(1, 2)
-            )
+            pinned = lemma1_partition(GEO, 0, Fraction(1, 2))
             assert pinned.boundary(1) == 3
 
 

@@ -505,8 +505,14 @@ def test_failed_cantor_volume_leaves_no_csv(cantor3, tmp_path, capsys):
      ("--s-grid", ["cantor", "gap", "--s-grid", "1/10,", "--out"]),
      ("--n-grid", ["scan-condition", "--n-grid", "", "--M-grid", "100", "--csv"]),
      ("--M-grid", ["scan-condition", "--n-grid", "50", "--M-grid", " ", "--csv"]),
-     ("--M-grid", ["scan-condition", "--n-grid", "50", "--M-grid", "100,,inf", "--csv"])],
-    ids=["volume", "volume-entry", "gap", "gap-entry", "scan-n", "scan-M", "scan-M-entry"],
+     ("--M-grid", ["scan-condition", "--n-grid", "50", "--M-grid", "100,,inf", "--csv"]),
+     # an entry its parser refuses is named with the option
+     ("--n-grid entry 'x'", ["scan-condition", "--n-grid", "50,x", "--M-grid", "100", "--csv"]),
+     ("--M-grid entry '1e3'", ["scan-condition", "--n-grid", "50", "--M-grid", "1e3", "--csv"]),
+     ("--s-grid entry 'abc'", ["cantor", "volume", "--s-grid", "1/10,abc", "--csv"]),
+     ("--s-grid entry '1/0'", ["cantor", "volume", "--s-grid", "1/0", "--csv"])],
+    ids=["volume", "volume-entry", "gap", "gap-entry", "scan-n", "scan-M", "scan-M-entry",
+         "scan-n-malformed", "scan-M-malformed", "volume-malformed", "volume-zero-denominator"],
 )
 def test_empty_grid_exits_one_naming_the_option(cantor3, qvec_files, tmp_path, capsys, option, argv):
     path = tmp_path / "out"

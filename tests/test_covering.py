@@ -12,7 +12,7 @@ from qinfty import covering, rigor
 from qinfty.covering import (
     Block,
     CoverParams,
-    TailStream,
+    Lemma1Partition,
     alpha_volume,
     block_bounds,
     block_length,
@@ -56,7 +56,8 @@ def test_block_length_luroth():
 
 def test_alpha_volume_length_at_one():
     blk = Block(CylinderAddress(()), 0, 0)
-    assert alpha_volume(LUR, [blk], Fraction(1)) == Fraction(1, 2)
+    vol = alpha_volume(LUR, [blk], Fraction(1))
+    assert (lower(vol), upper(vol)) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_alpha_volume_empty():
@@ -72,19 +73,34 @@ def test_alpha_volume_sqrt_oracle():
         assert upper(vol) - oracle < Fraction(1, 10**10)
 
 
-# --- tail streams and the greedy partition --------------------------------------
+# --- the greedy partition ----------------------------------------------------------
 
-def test_tail_stream_from_qvector():
-    st = TailStream.from_qvector(LUR, 2)
-    assert st.total() == LUR.tail_sum(2)
-    assert st.tail(0) == LUR.tail_sum(3)
-    assert st.range_mass(0, 4) == LUR.range_sum(2, 6)
-    assert st.head(3) == LUR.range_sum(2, 5)
+def test_partition_reads_spec_from_its_offset():
+    part = Lemma1Partition(LUR, 2, Fraction(1, 2))
+    n1, n2 = part.boundary(1), part.boundary(2)
+    assert part.tail_at_head == upper(LUR.tail_sum(2 + n1 + 1))
+    assert part.group_mass(0) == LUR.range_sum(2, 2 + n1)
+    assert part.group_mass(1) == LUR.range_sum(2 + n1 + 1, 2 + n2)
+
+
+def test_partition_refuses_negative_offset():
+    with pytest.raises(ParameterRangeError):
+        lemma1_partition(LUR, -1, Fraction(1, 2))
+
+
+def test_partition_shared_at_one_precision_only(clear_memos):
+    part = lemma1_partition(LUR, 3, Fraction(1, 2))
+    assert lemma1_partition(LUR, 3, Fraction(1, 2)) is part
+    with workprec(96):
+        wide = lemma1_partition(LUR, 3, Fraction(1, 2))
+        assert lemma1_partition(LUR, 3, Fraction(1, 2)) is wide
+    assert wide is not part
+    assert (part.prec, wide.prec) == (53, 96)
 
 
 def test_lemma1_pinned_dyadic():
     # dyadic weights a_i = 2^-(i+1) at alpha = 1/2 pin the head boundary at 3
-    part = lemma1_partition(TailStream.from_qvector(GEO, 0), Fraction(1, 2))
+    part = lemma1_partition(GEO, 0, Fraction(1, 2))
     assert part.boundary(1) == 3
     assert part.verify(10)
 
@@ -102,25 +118,25 @@ def test_lemma1_pinned_dyadic_oracle_inequality():
 
 def test_lemma1_head_dominant_stream():
     spec = QVectorSpec.geometric(Fraction(999999, 1000000))
-    part = lemma1_partition(TailStream.from_qvector(spec, 0), Fraction(1, 2))
+    part = lemma1_partition(spec, 0, Fraction(1, 2))
     assert part.boundary(1) == 0
 
 
 def test_lemma1_luroth_offsets_certificates():
     for offset in (0, 10, 100):
         for alpha in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
-            part = lemma1_partition(TailStream.from_qvector(LUR, offset), alpha)
+            part = lemma1_partition(LUR, offset, alpha)
             assert part.verify(8), (offset, alpha)
 
 
 def test_lemma1_boundaries_strictly_increase():
-    part = lemma1_partition(TailStream.from_qvector(LUR, 0), Fraction(3, 10))
+    part = lemma1_partition(LUR, 0, Fraction(3, 10))
     bounds = [part.boundary(k) for k in range(1, 12)]
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_lemma1_group_masses_halve():
-    part = lemma1_partition(TailStream.from_qvector(LUR, 0), Fraction(1, 2))
+    part = lemma1_partition(LUR, 0, Fraction(1, 2))
     target = part.tail_at_head
     for m in range(1, 10):
         assert upper(part.group_mass(m)) <= target / 2 ** (m - 1)
@@ -450,26 +466,25 @@ def test_cover_deterministic():
 def test_cover_same_with_cold_and_warm_partition_memo(spec, a, b):
     a = QRational.of(a)
     b = b if b is UNIT_END else QRational.of(b)
-    covering._tail_partition.cache_clear()
+    covering.lemma1_partition.cache_clear()
     cold = cover_interval(spec, a, b, HALF_PARAMS).to_json()
     warm = cover_interval(spec, a, b, HALF_PARAMS).to_json()
-    assert covering._tail_partition.cache_info().hits > 0
+    assert covering.lemma1_partition.cache_info().hits > 0
     assert warm == cold
 
 
-def _third_halving_stream() -> TailStream:
-    # upper(1/3) depends on the working precision, so every halving
-    # boundary moves when it is searched at a coarser precision
-    return TailStream(lambda n: to_iv(Fraction(1, 3)) / 2 ** (n + 1))
-
-
 def test_partition_boundaries_pinned_to_build_precision():
+    # power-law tails are enclosures, so a 24-bit search moves n_4 (68, not
+    # the 96-bit 67); at 53 bits the two agree and the test would be idle
     with workprec(96):
-        inside = lemma1_partition(_third_halving_stream(), Fraction(1, 2))
-        ambient = lemma1_partition(_third_halving_stream(), Fraction(1, 2))
+        inside = Lemma1Partition(PL2, 0, Fraction(1, 2))
+        ambient = Lemma1Partition(PL2, 0, Fraction(1, 2))
         expected = [inside.boundary(k) for k in range(1, 9)]
+    with workprec(24):
+        assert Lemma1Partition(PL2, 0, Fraction(1, 2)).boundary(4) != expected[3]
+        extended = [ambient.boundary(k) for k in range(1, 9)]
     assert ambient.prec == 96
-    assert [ambient.boundary(k) for k in range(1, 9)] == expected
+    assert extended == expected
 
 
 def _left_point_reference(spec, prefix: CylinderAddress, start: int) -> Fraction:
@@ -485,15 +500,15 @@ def test_tail_left_points_extend_one_prefix_decode(spec, bits):
     # the 16-bit rung, where powerlaw searches are undecided; budgets shrink
     # with the precision so that each leftover can get below its budget
     with workprec(96):
-        parts = {d: covering._tail_partition(spec, d, Fraction(1, 2)) for d in (0, 1, 4)}
+        parts = [covering.lemma1_partition(spec, d, Fraction(1, 2)) for d in (0, 1, 4)]
     checked = 0
     with workprec(bits):
         for prefix in [(), (0,), (2, 0), (1, 0, 0), (3, 1)]:
             addr = CylinderAddress.of(prefix)
-            for start_digit, part in parts.items():
-                job = covering._TailJob(1, addr, start_digit)
+            for part in parts:
+                job, start_digit = covering._TailJob(1, addr, part), part.offset
                 for budget in (Fraction(1), Fraction(1, 2 ** (bits // 8)), Fraction(1, 2 ** (bits // 4))):
-                    blocks, leftover = covering._emit_tail_blocks(spec, job, part, budget)
+                    blocks, leftover = covering._emit_tail_blocks(spec, job, budget)
                     m = len(blocks)
                     start = start_digit + (part.boundary(m) + 1 if m else 0)
                     assert [blk.first for blk in blocks] == [
