@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from mpmath import iv
@@ -144,18 +144,24 @@ def _cell(
 
 def _window_sums(
     spec: QVectorSpec, k: int, alpha: Fraction, m_min: int, m_max: int
-) -> Iterator[tuple[int, Num, Num]]:
-    """Running sums (M, mass, rhs) of the windows [k, k+M], m_min <= M <= m_max.
+) -> Iterator[tuple[int, Optional[tuple], tuple]]:
+    """Running sums (M, mass, rhs) of the windows [k, k+M], m_min <= M <= m_max,
+    on raw enclosures (``_mpi_``) added by ``rigor.adder``: the bits of
+    ``iv`` additions without an ``iv.mpf`` per step.
 
-    mass encloses sum q_i and rhs sum q_i^alpha; each step adds one term, its
-    power from the weight-power memo that consecutive rows share.
+    rhs encloses sum q_i^alpha, each step adding one power read from the
+    weight-power blocks that consecutive rows share.  mass encloses sum q_i
+    on an enclosure spec and is None on an exact one, whose window mass
+    :func:`row_cells` reads as the exact ``range_sum`` where it yields a cell.
     """
-    mass, rhs = spec.range_sum(k, k + m_min), spec.power_sum(alpha, k, k + m_min)
-    for M in range(m_min, m_max + 1):
-        if M > m_min:
-            mass = mass + spec.q(k + M)
-            rhs = rhs + spec.weight_power(k + M, alpha)
-        yield M, mass, rhs
+    add = rigor.adder()
+    rhs = accumulate(spec.raw_weight_powers(alpha, k + m_min + 1, k + m_max), add,
+                     initial=spec.power_sum(alpha, k, k + m_min)._mpi_)
+    mass = repeat(None) if spec.is_exact else accumulate(
+        (spec.q(i)._mpi_ for i in range(k + m_min + 1, k + m_max + 1)), add,
+        initial=spec.range_sum(k, k + m_min)._mpi_)
+    # range first: an empty row pulls nothing from the sums
+    return zip(range(m_min, m_max + 1), mass, rhs)
 
 
 def row_cells(
@@ -165,23 +171,27 @@ def row_cells(
     """Cells (M, lhs, rhs) of the windows [k, k+M], m_min <= M <= m_max, in
     M order: lhs encloses (sum q_i)^expo and rhs sum q_i^alpha.
 
-    The running sums are read in blocks of _BLOCK.  Each block's first cell
-    is always yielded; once the caller has consumed it, ``floor()`` is read,
-    and the block's other cells follow only if its bound gap(lhs_first,
-    rhs_last) is below that floor.  Both sides grow with M, so the bound is
-    at most every cell's gap while the computed lower(lhs) and upper(rhs) do
-    not decrease in M (upper(rhs) cannot, each step adding a positive
-    enclosure rounded up, and tests check lower(lhs)).  So a block left
-    closed holds no gap below the floor, and at floor 0 no violated or
-    undecided cell.
+    The running sums of :func:`_window_sums` are read in blocks of _BLOCK,
+    and a cell's enclosures are built only where it is yielded.  Each
+    block's first cell is always yielded; once the caller has consumed it,
+    ``floor()`` is read, and the block's other cells follow only if its
+    bound gap(lhs_first, rhs_last) is below that floor.  Both sides grow
+    with M, so the bound is at most every cell's gap while the computed
+    lower(lhs) and upper(rhs) do not decrease in M (upper(rhs) cannot, each
+    step adding a positive enclosure rounded up, and tests check lower(lhs)).
+    So a block left closed holds no gap below the floor, and at floor 0 no
+    violated or undecided cell.
     """
+    def cell(M: int, mass: Optional[tuple], rhs: tuple) -> tuple[int, Num, Num]:
+        mass = spec.range_sum(k, k + M) if mass is None else iv.make_mpf(mass)
+        return M, ipow(mass, expo), iv.make_mpf(rhs)
+
     sums = _window_sums(spec, k, alpha, m_min, m_max)
     while block := list(islice(sums, _BLOCK)):
-        M, mass, rhs = block[0]
-        lhs = ipow(mass, expo)
-        yield M, lhs, rhs
-        if rigor.gap(lhs, block[-1][2]) < floor():
-            yield from ((M, ipow(mass, expo), rhs) for M, mass, rhs in block[1:])
+        first = cell(*block[0])
+        yield first
+        if rigor.gap(first[1], iv.make_mpf(block[-1][2])) < floor():
+            yield from (cell(*sums_at) for sums_at in block[1:])
 
 
 def window_fast_margin(

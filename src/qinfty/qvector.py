@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 from mpmath import iv
 
@@ -29,9 +29,12 @@ from .rigor import Num, ipow, max_num, powsum, to_iv
 
 _MAX_SCAN = 10**6
 _LUR_DIRECT = 600
-# Holds the indices of one check-condition row up to M_max = 4095, or of the
-# Cantor linear scan; consecutive rows share almost all of their indices.
-_WEIGHT_POWERS = 4096
+# Weight powers are memoized in aligned blocks of _POWER_BLOCK indices; the
+# _POWER_BLOCKS blocks hold the indices of one check-condition row up to
+# M_max = 4095, or of the Cantor linear scan, and consecutive rows share
+# almost all of their blocks.
+_POWER_BLOCK = 32
+_POWER_BLOCKS = 128
 # Twice the distinct tail sums (about 450) or power sums (about 530) of one
 # README pipeline, most of them from the depth-3 Cantor build: a memo smaller
 # than a pass that repeats its keys in the same order would get no hits.
@@ -142,15 +145,30 @@ class QVectorSpec:
             return eff[i]
         return self.pad_mass * Fraction(1, 2 ** (i - k + 1))
 
-    @rigor.memo(_WEIGHT_POWERS)
-    def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
-        """Enclosure of q_i^s at the working precision, the same bits as
-        ``ipow(self.q(i), s)``.
+    @rigor.memo(_POWER_BLOCKS)
+    def weight_power_block(self, j: int, s: Fraction) -> tuple:
+        """Raw enclosures (``_mpi_``) of q_i^s for the 32 indices
+        32j <= i < 32(j+1), each the bits of ``ipow(self.q(i), s)``.
 
-        Memoized per (spec, i, s, precision) in a least-recently-used memo of
-        4096 entries; a scan over more indices than that gets no hits.
+        Memoized per (spec, j, s, precision) in a least-recently-used memo of
+        128 blocks, 4096 indices; a scan over more indices gets no hits.
         """
-        return ipow(self.q(i), s)
+        start = j * _POWER_BLOCK
+        return tuple(ipow(self.q(i), s)._mpi_ for i in range(start, start + _POWER_BLOCK))
+
+    def raw_weight_powers(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
+        """Raw enclosures of q_i^s for a <= i <= b in order, one block lookup
+        per 32 indices (none when b < a)."""
+        if b < a:
+            return
+        for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
+            start = j * _POWER_BLOCK
+            yield from self.weight_power_block(j, s)[max(a - start, 0):b - start + 1]
+
+    def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
+        """Enclosure of q_i^s at the working precision, read from its block
+        of :meth:`weight_power_block`: the bits of ``ipow(self.q(i), s)``."""
+        return iv.make_mpf(self.weight_power_block(i // _POWER_BLOCK, s)[i % _POWER_BLOCK])
 
     def weights_nonincreasing_from(self, k: int) -> bool:
         """Whether q_k >= q_{k+1} >= ... is known without a scan: always for
@@ -252,10 +270,7 @@ class QVectorSpec:
             return ipow(self.ratio, s) * series
         if self.family == "luroth":
             if b is not None and b - a + 1 <= _LUR_DIRECT:
-                total = to_iv(0)
-                for i in range(a, b + 1):
-                    total = total + self.weight_power(i, s)
-                return total
+                return rigor.raw_total(self.raw_weight_powers(s, a, b))
             # exact head, then squeeze (i+1)(i+2) between (i+3/2)^2 (1 - z)
             # and (i+3/2)^2; pushing the squeeze start out keeps it sharp
             head = self.power_sum(s, a, a + _LUR_DIRECT - 1)
@@ -268,9 +283,7 @@ class QVectorSpec:
             bb = None if b is None else b + 1
             return ipow(c, s) * powsum(self.m0 * s, Fraction(0), a + 1, bb)
         k = len(self.weights)
-        total = to_iv(0)
-        for i in range(a, min(k, b + 1 if b is not None else k)):
-            total = total + self.weight_power(i, s)
+        total = rigor.raw_total(self.raw_weight_powers(s, a, min(k - 1, k if b is None else b)))
         pad_from = max(a, k)
         if b is None or b >= k:
             u = ipow(Fraction(1, 2), s)

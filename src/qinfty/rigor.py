@@ -29,11 +29,12 @@ import operator
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, reduce, wraps
 from math import factorial, floor
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from mpmath import iv, libmp, mp
+from mpmath.libmp import libmpi
 
 from .errors import CapacityError, ParameterRangeError, Undecided
 
@@ -146,6 +147,18 @@ def to_iv(x) -> "iv.mpf":
             ))
         return iv.mpf(p) / iv.mpf(q)
     return iv.mpf(x)
+
+
+def adder() -> Callable:
+    """(x, y) -> x + y on raw enclosures (``_mpi_`` endpoint pairs) at the
+    working precision: the call ``iv.mpf.__add__`` makes, so the same bits,
+    without an ``iv.mpf`` per step."""
+    return partial(libmpi.mpi_add, prec=iv.prec)
+
+
+def raw_total(terms: Iterable) -> "iv.mpf":
+    """0 + t_1 + t_2 + ... of raw enclosures, added in order by :func:`adder`."""
+    return iv.make_mpf(reduce(adder(), terms, to_iv(0)._mpi_))
 
 
 def _frac(raw) -> Fraction:

@@ -294,6 +294,44 @@ def test_window_scan_cells_overlap_closed_forms(spec, n, m_min, m_max):
             assert lower(rhs) <= upper(rhs_closed) and lower(rhs_closed) <= upper(rhs)
 
 
+# rows (k, m_min, m_max): cells crossing the 32-aligned power blocks at 32,
+# 64 and 96, a single cell whose one added power opens a block, a partial
+# last block, and an empty row
+_ROWS = [(5, 20, 100), (31, 0, 1), (3, 10, 10 + 2 * 32 + 4), (7, 9, 8)]
+
+
+@pytest.mark.parametrize("bits", [16, 24, 53, 96, 192])
+@pytest.mark.parametrize("spec", [LUR, GEO, PL2, CUSTOM], ids=["luroth", "geometric", "powerlaw2", "custom"])
+def test_row_cells_give_the_bits_of_every_cell(spec, bits):
+    alpha, expo = Fraction(2, 5), Fraction(3, 10)
+    with workprec(bits):
+        for k, m_min, m_max in _ROWS:
+            # an infinite floor opens every block
+            cells = [(M, lhs._mpi_, rhs._mpi_)
+                     for M, lhs, rhs in row_cells(spec, k, alpha, expo, m_min, m_max, lambda: mp.inf)]
+            assert cells == [(M, lhs._mpi_, rhs._mpi_)
+                             for M, lhs, rhs in every_cell(spec, k, alpha, expo, m_min, m_max)]
+            assert [M for M, _, _ in cells] == list(range(m_min, m_max + 1))
+
+
+@pytest.mark.parametrize("spec", [LUR, GEO, CUSTOM], ids=["luroth", "geometric", "custom"])
+def test_exact_row_reads_a_weight_only_where_a_cell_is_yielded(monkeypatch, spec):
+    # an exact spec's window mass is its range sum at each yielded cell,
+    # not a running sum that reads every weight
+    alpha, expo, m_min, m_max = Fraction(9, 10), Fraction(7, 10), 18, 1000
+    with workprec(64):
+        list(row_cells(spec, 18, alpha, expo, m_min, m_max, lambda: 0))  # fills the power blocks
+        q, calls = QVectorSpec.q, []
+
+        def spy(self, i):
+            calls.append(i)
+            return q(self, i)
+
+        monkeypatch.setattr(QVectorSpec, "q", spy)
+        cells = list(row_cells(spec, 18, alpha, expo, m_min, m_max, lambda: 0))
+    assert len(calls) <= len(cells) < m_max - m_min + 1
+
+
 def test_window_fast_margin():
     with workprec(96):
         # sum q_i^(1/2) diverges for Luroth
@@ -471,14 +509,25 @@ def test_block_scan_edge_rows(spec, query, outcome, bits):
 
 def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memos):
     query = ConditionQuery(Fraction(2, 5), DELTA_TENTH, 99, 200, 10**4)
-    memoized = QVectorSpec.weight_power
-    calls = []
+    memoized = QVectorSpec.weight_power_block
+    calls = []  # the index of each weight power read, as it is read
 
-    def spy(self, i, s):
-        calls.append(i)
-        return memoized(self, i, s)
+    class Reads:
+        """A block of powers that records its reads, a slice's as it is consumed."""
 
-    monkeypatch.setattr(QVectorSpec, "weight_power", spy)
+        def __init__(self, j, powers):
+            self.j, self.powers = j, powers
+
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                return (self[i] for i in range(len(self.powers))[key])
+            calls.append(32 * self.j + key)
+            return self.powers[key]
+
+    def spy(self, j, s):
+        return Reads(j, memoized(self, j, s))
+
+    monkeypatch.setattr(QVectorSpec, "weight_power_block", spy)
     verdict = check_condition(PL2, query).to_json()
     block_calls = len(calls)
     calls.clear()
@@ -503,9 +552,9 @@ def test_block_scan_row_memory_does_not_grow_with_the_window_count():
     assert peak(4000) <= 1.5 * peak(1000)
 
 
-def _unmemoized_weight_power(self, i, s):
-    """QVectorSpec.weight_power without its memo: the power each cell took before."""
-    return ipow(self.q(i), s)
+def _unmemoized_weight_power_block(self, j, s):
+    """QVectorSpec.weight_power_block without its memo: the power each cell took before."""
+    return tuple(ipow(self.q(i), s)._mpi_ for i in range(32 * j, 32 * j + 32))
 
 
 def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch, clear_memos):
@@ -513,6 +562,6 @@ def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch
     cold = check_condition(LUR, query).to_json()
     warm = check_condition(LUR, query).to_json()
     clear_memos()  # so the sums that read weight powers are taken again
-    monkeypatch.setattr(QVectorSpec, "weight_power", _unmemoized_weight_power)
+    monkeypatch.setattr(QVectorSpec, "weight_power_block", _unmemoized_weight_power_block)
     assert cold == warm == check_condition(LUR, query).to_json()
     assert cold["outcome"] == HOLDS and len(cold["margins"]) == 3
