@@ -216,10 +216,11 @@ def _minimal_violation_window(
     """An M > N whose window [k, k+M] certifiably violates the tail
     inequality: the least one while the linear scan lasts.
 
-    The linear scan walks :func:`row_cells` at floor 0, which leaves closed
-    only blocks that hold no violated cell, so it returns the M a scan of
-    every cell returns.  It is skipped when :func:`_linear_scan_cannot_violate`
-    holds.  That skip is sound: its two sides bound every scanned window
+    The linear scan walks :func:`row_cells` at floor 0, which closes only
+    spans of windows that hold no violated cell and yields every other
+    cell in M order, so it returns the M a scan of every cell returns.  It
+    is skipped when :func:`_linear_scan_cannot_violate` holds.  That skip
+    is sound: its two sides bound every scanned window
     from the correct side, so the inequality truly holds on each of them,
     no cell's enclosures can certify a violation, and the scan would have
     returned nothing.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import random
@@ -332,7 +333,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      "first rung of the start/2x/4x ladder")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state in it, and
+    building it costs about a millisecond per call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="qinfty",
         description="Infinite-alphabet expansions, certified coverings, "

@@ -6,11 +6,13 @@ are deliberately three-valued: a certified counterexample is decisive, a
 certified hold only covers the scanned region, and anything the enclosures
 cannot separate on the top rung of ``rigor.escalate`` stays inconclusive.
 
-Window mass and sum q_i^alpha both grow with M, so one power bounds a
-whole block of a row's cells.  One walk, :func:`row_cells`, serves every
-window scan: it opens a block cell by cell only when that bound is below
-its caller's floor, the running row minimum for ``_check_row`` and 0 for
-the Cantor window search.
+Window mass and sum q_i^alpha both grow with M, so the left side at a
+span's first cell and a bound on the right side at its last bound every
+cell of the span.  One walk, :func:`row_cells`, serves every window scan:
+it gallops over spans of a row that this bound closes against its
+caller's floor, the running row minimum for ``_check_row`` and 0 for the
+Cantor window search, and halves the spans it cannot close down to the
+cells it yields.
 
 A window with a divergent power tail is never an error: partial sums of
 the right side certifiably overtake the bounded left side, which is a
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Optional
 
-from mpmath import iv
+from mpmath import iv, libmp, mp
 
 from . import rigor
 from .errors import CapacityError, ParameterRangeError, Undecided
@@ -37,7 +39,6 @@ INCONCLUSIVE = "inconclusive"
 
 CONDITION_PREC = 64
 _DIVERGENT_DOUBLING_CAP = 2**40
-_BLOCK = 32  # cells per block of a row scan, bounded by one power (see _check_row)
 
 
 @dataclass(frozen=True)
@@ -142,26 +143,30 @@ def _cell(
     raise CapacityError("divergent power tail failed to overtake the left side")
 
 
-def _window_sums(
-    spec: QVectorSpec, k: int, alpha: Fraction, m_min: int, m_max: int
-) -> Iterator[tuple[int, Optional[tuple], tuple]]:
-    """Running sums (M, mass, rhs) of the windows [k, k+M], m_min <= M <= m_max,
-    on raw enclosures (``_mpi_``) added by ``rigor.adder``: the bits of
-    ``iv`` additions without an ``iv.mpf`` per step.
+class _Running:
+    """A running sum of raw enclosures, drawn from ``sums`` (its value at
+    index ``first`` first) only as far as the index asked, so never past it."""
 
-    rhs encloses sum q_i^alpha, each step adding one power read from the
-    weight-power blocks that consecutive rows share.  mass encloses sum q_i
-    on an enclosure spec and is None on an exact one, whose window mass
-    :func:`row_cells` reads as the exact ``range_sum`` where it yields a cell.
-    """
-    add = rigor.adder()
-    rhs = accumulate(spec.raw_weight_powers(alpha, k + m_min + 1, k + m_max), add,
-                     initial=spec.power_sum(alpha, k, k + m_min)._mpi_)
-    mass = repeat(None) if spec.is_exact else accumulate(
-        (spec.q(i)._mpi_ for i in range(k + m_min + 1, k + m_max + 1)), add,
-        initial=spec.range_sum(k, k + m_min)._mpi_)
-    # range first: an empty row pulls nothing from the sums
-    return zip(range(m_min, m_max + 1), mass, rhs)
+    def __init__(self, sums: Iterator[tuple], first: int):
+        self.sums, self.index, self.value = sums, first - 1, None
+
+    def at(self, M: int) -> tuple:
+        if M > self.index:
+            self.value, self.index = next(islice(self.sums, M - self.index - 1, None)), M
+        return self.value
+
+
+def _rhs_bound(top: tuple, adds: int) -> tuple:
+    """A raw mpf at least upper(rhs) of a running sum made by ``adds``
+    additions rounded up, whose first value's upper end and added terms'
+    upper ends sum to at most ``top``.  Each add multiplies the error by at
+    most 1 + 2^(1-p) at p bits, and (1 + u)^c <= 1/(1 - c u), so the bound
+    is top / (1 - adds 2^(1-p)) rounded up; +inf once adds 2^(1-p) >= 1/2."""
+    prec = iv.prec
+    if adds >= 2 ** (prec - 2):
+        return libmp.finf
+    den = libmp.mpf_sub(libmp.fone, libmp.from_man_exp(adds, 1 - prec), 0)
+    return libmp.mpf_div(top, den, prec, libmp.round_ceiling)
 
 
 def row_cells(
@@ -171,27 +176,47 @@ def row_cells(
     """Cells (M, lhs, rhs) of the windows [k, k+M], m_min <= M <= m_max, in
     M order: lhs encloses (sum q_i)^expo and rhs sum q_i^alpha.
 
-    The running sums of :func:`_window_sums` are read in blocks of _BLOCK,
-    and a cell's enclosures are built only where it is yielded.  Each
-    block's first cell is always yielded; once the caller has consumed it,
-    ``floor()`` is read, and the block's other cells follow only if its
-    bound gap(lhs_first, rhs_last) is below that floor.  Both sides grow
-    with M, so the bound is at most every cell's gap while the computed
-    lower(lhs) and upper(rhs) do not decrease in M (upper(rhs) cannot, each
-    step adding a positive enclosure rounded up, and tests check lower(lhs)).
-    So a block left closed holds no gap below the floor, and at floor 0 no
-    violated or undecided cell.
-    """
-    def cell(M: int, mass: Optional[tuple], rhs: tuple) -> tuple[int, Num, Num]:
-        mass = spec.range_sum(k, k + M) if mass is None else iv.make_mpf(mass)
-        return M, ipow(mass, expo), iv.make_mpf(rhs)
+    The walk covers the row left to right with spans [a, b] of cells.  A
+    span is closed when lower(lhs(a)) - U(b) >= ``floor()``, read afresh
+    for each span, where U(b) (:func:`_rhs_bound` of the weight powers'
+    upper ends, aligned blocks read as one memoized total) is at least
+    upper(rhs) of every cell M <= b.  Span lengths double while spans close;
+    a span that does not close is halved, its left half tried first, and a
+    one-cell span that does not close is yielded.  Both sides grow with M,
+    so lower(lhs(a)) - U(b) is at most every gap in the span while the
+    computed lower(lhs) does not decrease in M (tests check it).  So a closed
+    span holds no gap below the floor, and at floor 0 no violated or
+    undecided cell.
 
-    sums = _window_sums(spec, k, alpha, m_min, m_max)
-    while block := list(islice(sums, _BLOCK)):
-        first = cell(*block[0])
-        yield first
-        if rigor.gap(first[1], iv.make_mpf(block[-1][2])) < floor():
-            yield from (cell(*sums_at) for sums_at in block[1:])
+    The running sums (``rigor.adder``, the terms and order of a scan of
+    every cell, so the same bits) advance only as far as a yielded cell, or
+    on an enclosure spec a span start whose mass is read; an exact spec's
+    window mass is its exact ``range_sum``.  A row keeps O(1) state.
+    """
+    add, add_up = rigor.adder(), rigor.upper_adder()
+    head = spec.power_sum(alpha, k, k + m_min)._mpi_
+    rhs = _Running(accumulate(spec.raw_weight_powers(alpha, k + m_min + 1, k + m_max), add,
+                              initial=head), m_min)
+    mass = None if spec.is_exact else _Running(accumulate(
+        (spec.q(i)._mpi_ for i in range(k + m_min + 1, k + m_max + 1)), add,
+        initial=spec.range_sum(k, k + m_min)._mpi_), m_min)
+    # top bounds upper(head) plus the powers' upper ends through cell top_at
+    top, top_at = head[1], m_min
+    a, length, lhs = m_min, 1, None
+    while a <= m_max:
+        b = min(a + length - 1, m_max)
+        if lhs is None:
+            lhs = ipow(spec.range_sum(k, k + a) if mass is None else iv.make_mpf(mass.at(a)), expo)
+        top_b = add_up(top, spec.raw_power_top(alpha, k + top_at + 1, k + b))
+        bound = libmp.mpf_sub(lhs._mpi_[0], _rhs_bound(top_b, b - m_min), 0)
+        closed = mp.make_mpf(bound) >= floor()
+        if closed or a == b:
+            if not closed:
+                yield a, lhs, iv.make_mpf(rhs.at(a))
+            top, top_at, a, lhs = top_b, b, b + 1, None
+            length = 2 * length if closed else 1
+        else:
+            length = (b - a + 1) // 2
 
 
 def window_fast_margin(
@@ -219,11 +244,11 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
     The finite cells come from :func:`row_cells` with the floor min(least
     gap seen, cap), where cap is the limit cell's gap if that is >= 0 and
-    else 0 (a divergent limit cell always violates), and the floor is 0
-    while no gap is seen.  A block left closed has a bound at least that
-    floor, which is at least the final row minimum, itself >= 0; so it holds
-    no violated or undecided cell and no gap below the minimum, and the first
-    violation and the margin are those a scan of every cell finds.  A
+    else 0 (a divergent limit cell always violates), and the floor is cap
+    while no gap is seen.  The limit cell is always visited, so a closed
+    span, whose bound is at least that floor, holds no gap below the final
+    row minimum, and at a floor >= 0 no violated or undecided cell; the
+    first violation and the margin are those a scan of every cell finds.  A
     convergent row's fast margin and limit cell read its power tail under
     one ``power_sum`` memo key, so it is summed once; a divergent limit cell
     is built only after the finite cells.
@@ -254,7 +279,7 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 
     cap = max(rigor.gap(*limit), 0) if limit else 0
     cells = row_cells(spec, n, alpha, expo, m_min, query.M_max,
-                      lambda: 0 if margin is None else min(margin, cap))
+                      lambda: cap if margin is None else min(margin, cap))
     for M, lhs, rhs in cells:
         visit(M, lhs, rhs)
     visit(None, *(limit or _cell(spec, n, None, alpha, expo, query.M_max)))

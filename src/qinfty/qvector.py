@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from mpmath import iv
+from mpmath import iv, libmp
 
 from . import rigor
 from .errors import CapacityError, ParameterRangeError
@@ -164,6 +164,26 @@ class QVectorSpec:
         for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
             start = j * _POWER_BLOCK
             yield from self.weight_power_block(j, s)[max(a - start, 0):b - start + 1]
+
+    @rigor.memo(_POWER_BLOCKS)
+    def weight_power_block_top(self, j: int, s: Fraction) -> tuple:
+        """A raw mpf at least the sum of the upper ends of
+        :meth:`weight_power_block` (j, s), added rounding up; memoized like
+        that block, per (spec, j, s, precision), 128 blocks."""
+        return reduce(rigor.upper_adder(), (p[1] for p in self.weight_power_block(j, s)), libmp.fzero)
+
+    def raw_power_top(self, s: Fraction, a: int, b: int) -> tuple:
+        """A raw mpf at least the sum of the upper ends of q_i^s for
+        a <= i <= b (0 when b < a), added rounding up: an aligned block of
+        32 indices inside the range reads :meth:`weight_power_block_top`."""
+        add, total = rigor.upper_adder(), libmp.fzero
+        for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
+            lo, hi = max(a - j * _POWER_BLOCK, 0), min(b - j * _POWER_BLOCK + 1, _POWER_BLOCK)
+            if hi - lo == _POWER_BLOCK:
+                total = add(total, self.weight_power_block_top(j, s))
+            else:
+                total = reduce(add, (p[1] for p in self.weight_power_block(j, s)[lo:hi]), total)
+        return total
 
     def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
         """Enclosure of q_i^s at the working precision, read from its block

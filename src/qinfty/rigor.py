@@ -26,6 +26,7 @@ cost of parallel speedup.
 from __future__ import annotations
 
 import operator
+import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
@@ -154,6 +155,12 @@ def adder() -> Callable:
     working precision: the call ``iv.mpf.__add__`` makes, so the same bits,
     without an ``iv.mpf`` per step."""
     return partial(libmpi.mpi_add, prec=iv.prec)
+
+
+def upper_adder() -> Callable:
+    """(x, y) -> x + y on raw mpfs, rounded up at the working precision:
+    at least the exact sum, in any order of adding."""
+    return partial(libmp.mpf_add, prec=iv.prec, rnd=libmp.round_ceiling)
 
 
 def raw_total(terms: Iterable) -> "iv.mpf":
@@ -295,8 +302,27 @@ def approx_str(x: Num, digits: int = 12) -> str:
     return f"[{sa}, {sb}]"
 
 
+def _long_ints(convert: Callable[[], T]) -> T:
+    """convert(), run again with Python's limit on the digits of an
+    int-string conversion (from 3.10.7) lifted, and restored after, when
+    it raises ValueError: an exact cylinder of a long digit word has
+    thousands of digits."""
+    try:
+        return convert()
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            raise
+    with _LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return _long_ints(lambda: f"{x.numerator}/{x.denominator}")
 
 
 def parse_frac(text: str) -> Fraction:
@@ -305,11 +331,11 @@ def parse_frac(text: str) -> Fraction:
         raise ParameterRangeError(f"expected a rational written as a string, got {text!r}")
     text = text.strip()
     if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
+        num, den = _long_ints(lambda: [int(part) for part in text.split("/", 1)])
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)
-    return Fraction(text)
+    return _long_ints(lambda: Fraction(text))
 
 
 def num_to_json(x: Num):

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -404,6 +405,31 @@ def test_usage_errors_exit_one(qvec_files, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_of_a_process(qvec_files, tmp_path, capsys):
+    def check(out):
+        rc = main(["check-condition", "--qvec", qvec_files["luroth"], "--alpha", "9/10",
+                   "--delta", "1/5", "--N", "17", "--n-max", "19", "--M-max", "60",
+                   "--out", str(out)])
+        return rc, capsys.readouterr().out, out.read_bytes()
+
+    first = check(tmp_path / "first.json")
+    assert main(["decode", "--qvec", qvec_files["luroth"]]) == 1  # --digits missing
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert check(tmp_path / "last.json") == first
+    assert first[0] == 0 and first[1] == "check-condition: holds_on_region\n"
+
+
+def test_decode_of_a_long_exact_cylinder_parses_back(qvec_files, capsys):
+    # 2^15001 has more decimal digits than Python converts by default
+    limit = sys.get_int_max_str_digits()
+    assert main(["decode", "--qvec", qvec_files["geometric"], "--digits", "[15000]"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert rigor.parse_frac(doc["left"]) == 1 - Fraction(1, 2**15000)
+    assert rigor.parse_frac(doc["length"]) == Fraction(1, 2**15001)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_deterministic_outputs(qvec_files, tmp_path, capsys):

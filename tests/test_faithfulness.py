@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qinfty import faithfulness
+from qinfty import faithfulness, rigor
 from qinfty.errors import CapacityError, ParameterRangeError, QinftyError, Undecided
 from qinfty.faithfulness import (
     CSV_HEADER,
@@ -443,9 +443,11 @@ def test_convergent_row_sums_its_power_tail_once(monkeypatch, clear_memos, spec,
     assert computed == list(range(query.N + 1, query.n_max + 1))
 
 
-def _block_and_fraction_verdicts(spec, query, bits, block):
-    with patch.object(faithfulness, "_BLOCK", block):
-        verdict = check_condition(spec, query, prec=bits).to_json()
+def _block_and_fraction_verdicts(spec, query, bits, cold=False):
+    if cold:  # the walk fills the weight-power blocks and their totals itself
+        for cached in rigor.MEMOS:
+            cached.cache_clear()
+    verdict = check_condition(spec, query, prec=bits).to_json()
     with patch.object(faithfulness, "_check_row", _fraction_check_row):
         return verdict, check_condition(spec, query, prec=bits).to_json()
 
@@ -464,18 +466,18 @@ def _row_queries(draw):
     spec=st.sampled_from([LUR, GEO, PL2, CUSTOM]),
     query=_row_queries(),
     bits=st.sampled_from([16, 24, 64, 128]),
-    block=st.sampled_from([1, 3, 32]),
+    cold=st.booleans(),
 )
 # an undecided cell at 16 bits, then a violated limit cell
-@example(spec=LUR, query=ConditionQuery(Fraction(3, 5), Fraction(2, 5), 33, 34, 60), bits=16, block=32)
-@example(spec=LUR, query=_WORKLOAD_LUROTH, bits=16, block=32)  # escalates to 32 bits
+@example(spec=LUR, query=ConditionQuery(Fraction(3, 5), Fraction(2, 5), 33, 34, 60), bits=16, cold=False)
+@example(spec=LUR, query=_WORKLOAD_LUROTH, bits=16, cold=True)  # escalates to 32 bits
 # the least gap lies in a block opened only because its bound is below the running minimum
-@example(spec=GEO, query=ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200), bits=64, block=32)
-@example(spec=CUSTOM, query=ConditionQuery(Fraction(31, 40), Fraction(1, 40), 3, 5, 200), bits=64, block=32)
-@example(spec=PL2, query=ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5), bits=24, block=3)
-@example(spec=GEO, query=ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40), bits=64, block=3)
-def test_block_scan_matches_fraction_cell_loop(spec, query, bits, block):
-    verdict, reference = _block_and_fraction_verdicts(spec, query, bits, block)
+@example(spec=GEO, query=ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200), bits=64, cold=False)
+@example(spec=CUSTOM, query=ConditionQuery(Fraction(31, 40), Fraction(1, 40), 3, 5, 200), bits=64, cold=False)
+@example(spec=PL2, query=ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 5), bits=24, cold=True)
+@example(spec=GEO, query=ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40), bits=64, cold=True)
+def test_block_scan_matches_fraction_cell_loop(spec, query, bits, cold):
+    verdict, reference = _block_and_fraction_verdicts(spec, query, bits, cold)
     assert verdict == reference
     # the margins are the same bits only while both computed bounds are
     # nondecreasing in M; upper(rhs) is by construction, lower(lhs) is checked
@@ -493,14 +495,14 @@ def test_block_scan_matches_fraction_cell_loop(spec, query, bits, block):
         (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 17), HOLDS),
         (PL2, ConditionQuery(Fraction(9, 20), Fraction(11, 25), 2, 3, 2), VIOLATED),
         (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 18), HOLDS),
-        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 17 + 2 * faithfulness._BLOCK + 5),
+        (LUR, ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 19, 17 + 2 * 32 + 5),
          HOLDS),
     ],
     ids=["no-finite-cell", "no-finite-cell-divergent", "single-cell", "partial-last-block"],
 )
 @pytest.mark.parametrize("bits", [16, 64])
 def test_block_scan_edge_rows(spec, query, outcome, bits):
-    verdict, reference = _block_and_fraction_verdicts(spec, query, bits, 32)
+    verdict, reference = _block_and_fraction_verdicts(spec, query, bits)
     assert verdict == reference
     assert verdict["outcome"] == outcome
     if outcome == VIOLATED:
@@ -534,7 +536,102 @@ def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memo
     monkeypatch.setattr(faithfulness, "_check_row", _fraction_check_row)
     assert check_condition(PL2, query).to_json() == verdict
     assert verdict["witness"] == {"n": 100, "M": 100}
-    assert block_calls <= len(calls) + faithfulness._BLOCK
+    assert block_calls <= len(calls) + 32
+
+
+def _record_walks(monkeypatch) -> list:
+    """Per row walk from now on: (M of each yielded cell, m_min, left-side
+    powers taken, running-sum terms added) while the walk itself runs."""
+    walk, real_ipow, real_adder = faithfulness.row_cells, faithfulness.ipow, rigor.adder
+    counts = {"ipow": 0, "add": 0}
+
+    def ipow_spy(*args):
+        counts["ipow"] += 1
+        return real_ipow(*args)
+
+    def adder_spy():
+        add = real_adder()
+
+        def counted(x, y):
+            counts["add"] += 1
+            return add(x, y)
+        return counted
+
+    walks = []
+
+    def spy(spec, k, alpha, expo, m_min, m_max, floor):
+        yielded, before = [], dict(counts)
+        try:
+            for cell in walk(spec, k, alpha, expo, m_min, m_max, floor):
+                yielded.append(cell[0])
+                yield cell
+        finally:  # also when the caller stops at a violation
+            walks.append((yielded, m_min, counts["ipow"] - before["ipow"],
+                          counts["add"] - before["add"]))
+
+    monkeypatch.setattr(faithfulness, "ipow", ipow_spy)
+    monkeypatch.setattr(rigor, "adder", adder_spy)
+    monkeypatch.setattr(faithfulness, "row_cells", spy)
+    return walks
+
+
+def test_workload_rows_take_few_left_side_powers(monkeypatch):
+    # every row's limit cell gap is below its finite gaps, so galloping
+    # spans close the row; a walk of blocks of 32 took 62 powers a row
+    check_condition(LUR, _WORKLOAD_LUROTH)  # fills the memos
+    walks = _record_walks(monkeypatch)
+    assert check_condition(LUR, _WORKLOAD_LUROTH).outcome == HOLDS
+    assert len(walks) == _WORKLOAD_LUROTH.n_max - _WORKLOAD_LUROTH.N
+    assert all(powers <= 16 for _, _, powers, _ in walks)
+
+
+@pytest.mark.parametrize(
+    "spec, query",
+    [(LUR, _WORKLOAD_LUROTH),
+     (GEO, ConditionQuery(Fraction(5, 8), Fraction(9, 40), 3, 5, 200)),
+     (CUSTOM, ConditionQuery(Fraction(31, 40), Fraction(1, 40), 3, 5, 200)),
+     (LUR, ConditionQuery(ALPHA_HALF, DELTA_TENTH, 2, 6, 40)),
+     (GEO, ConditionQuery(ALPHA_HALF, Fraction(2, 5), 2, 6, 40))],
+    ids=["luroth-workload", "geometric", "custom", "luroth-violated", "geometric-violated"],
+)
+def test_row_adds_no_running_sum_term_past_its_last_yielded_cell(monkeypatch, spec, query):
+    # on an exact spec the one running sum is the right side's; the first
+    # cell's value is read, not added
+    check_condition(spec, query)  # fills the memos
+    walks = _record_walks(monkeypatch)
+    check_condition(spec, query)
+    assert walks
+    for yielded, m_min, _, adds in walks:
+        assert adds == (yielded[-1] - m_min if yielded else 0)
+
+
+def test_row_past_the_bound_precision_yields_every_cell_there():
+    # at 16 bits the bound U of a span reaching 2^14 adds past m_min is +inf,
+    # so each of those cells is yielded and compared on its own
+    query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 18, 2**14 + 60)
+    m_min = query.N + 1
+    with workprec(16):
+        assert faithfulness._rhs_bound(mp.mpf(1)._mpf_, 2**14) == mp.inf._mpf_
+        assert faithfulness._check_row(LUR, query, 18) == _fraction_check_row(LUR, query, 18)
+        far = [M for M, _, _ in row_cells(LUR, 18, query.alpha, query.alpha - query.delta,
+                                          m_min, query.M_max, lambda: 0) if M >= m_min + 2**14]
+    assert far == list(range(m_min + 2**14, query.M_max + 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    spec=st.sampled_from([LUR, GEO, PL2, CUSTOM]),
+    k=st.integers(0, 60), m_min=st.integers(0, 40), adds=st.integers(0, 200),
+    bits=st.sampled_from([16, 24, 64]),
+)
+def test_span_bound_is_above_every_running_right_side(spec, k, m_min, adds, bits):
+    alpha = Fraction(2, 5)
+    with workprec(bits):
+        top = rigor.upper_adder()(spec.power_sum(alpha, k, k + m_min)._mpi_[1],
+                                  spec.raw_power_top(alpha, k + m_min + 1, k + m_min + adds))
+        bound = rigor.frac_of_mpf(mp.make_mpf(faithfulness._rhs_bound(top, adds)))
+        *_, (_, _, rhs) = every_cell(spec, k, alpha, alpha, m_min, m_min + adds)
+        assert upper(rhs) <= bound
 
 
 def test_block_scan_row_memory_does_not_grow_with_the_window_count():

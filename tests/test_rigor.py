@@ -357,7 +357,9 @@ def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
 
 
 def test_memo_caches_are_bounded():
-    assert len(rigor.MEMOS) == 9
+    assert len(rigor.MEMOS) == 10
+    assert QVectorSpec.weight_power_block_top in rigor.MEMOS
+    assert QVectorSpec.weight_power_block_top.cache_info().maxsize == 128
     for cached in rigor.MEMOS:
         assert cached.cache_info().maxsize is not None
 
