@@ -455,8 +455,8 @@ def main(argv=None) -> int:
     except QinftyError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, NotImplementedError, json.JSONDecodeError) as exc:
+        print(f"error ({type(exc).__name__}): {str(exc) or 'not implemented for this input'}", file=sys.stderr)
         return 1
 
 

@@ -222,11 +222,13 @@ def max_num(x: Num, y: Num) -> Num:
 
 
 def plus_minus(x: Num, err: Num) -> "iv.mpf":
-    """Widen x by +-upper(|err|) on both sides."""
-    e = upper(err)
-    if e < 0:
-        e = -e
-    return to_iv(x) + hull(-e, e)
+    """Widen x by +-max(|lower(err)|, |upper(err)|) on both sides; an
+    infinite or NaN end of err is Undecided."""
+    lo, hi = (libmp.mpf_abs(end) for end in to_iv(err)._mpi_)
+    if {lo, hi} & {libmp.finf, libmp.fnan}:
+        raise Undecided(f"enclosure has an infinite or NaN endpoint at {iv.prec} bits")
+    e = lo if libmp.mpf_lt(hi, lo) else hi
+    return iv.make_mpf(libmpi.mpi_add(to_iv(x)._mpi_, (libmp.mpf_neg(e), e), iv.prec))
 
 
 def _ends(x: Num, y: Num):
@@ -280,14 +282,13 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
     there, so it raises Undecided: a higher precision may narrow the base
     onto [0, inf).
     """
-    b = to_iv(base)
-    if isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1:
-        return b ** int(expo)
-    if isinstance(expo, Fraction):
-        expo = _exponent(expo.numerator, expo.denominator)
-    if libmp.mpf_sign(b._mpi_[0]) < 0:
-        raise Undecided(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
-    return b ** expo
+    b = to_iv(base)._mpi_
+    if not (isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1):
+        if isinstance(expo, Fraction):
+            expo = _exponent(expo.numerator, expo.denominator)
+        if libmp.mpf_sign(b[0]) < 0:
+            raise Undecided(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
+    return iv.make_mpf(libmpi.mpi_pow(b, to_iv(expo)._mpi_, iv.prec))
 
 
 def approx_str(x: Num, digits: int = 12) -> str:
@@ -357,7 +358,19 @@ def num_to_json(x: Num):
 # Euler-Maclaurin through the B_8 term; since every even derivative of
 # x^(-p) keeps one sign, the remainder is bounded by the magnitude of the
 # first omitted term, which we widen symmetrically.
+#
+# All three run on raw enclosures (``_mpi_`` endpoint pairs) with the
+# libmpi calls that ``iv.mpf``'s operators make, in the same order, so
+# they give the bits of the interval expressions they stand for.  A
+# fractional power x^t is exp(t * log x) there, and log x does not depend
+# on t, so :func:`_powers` takes it once per endpoint for all seven
+# exponents of the bracket.  :func:`_em_ends` memoizes an endpoint's seven
+# powers by (p, x): a search that holds one end of its ranges fixed
+# computes that end once.
 # ---------------------------------------------------------------------------
+
+_TWO = (libmp.from_int(2),) * 2  # the divisor ``x / 2`` lifts, at any precision
+
 
 def _rising(p_iv, m: int):
     acc = to_iv(1)
@@ -366,12 +379,26 @@ def _rising(p_iv, m: int):
     return acc
 
 
+def _powers(x, exps, prec: int) -> tuple:
+    """libmpi.mpi_pow(x, t, prec) for each raw exponent t, by mpi_pow's own
+    calls, with log(x) taken once for every t that is not an integer or
+    1/2 point: those keep mpi_pow's own dispatch."""
+    log, out = None, []
+    for t in exps:
+        ta, tb = t
+        if ta == tb and ta not in (libmp.finf, libmp.fninf) and (
+                ta == libmp.fhalf or ta == libmp.from_int(libmp.to_int(ta))):
+            out.append(libmpi.mpi_pow(x, t, prec))
+            continue
+        if log is None:
+            log = libmpi.mpi_log(x, prec + 20)
+        out.append(libmpi.mpi_exp(libmpi.mpi_mul(log, t, prec + 20), prec))
+    return tuple(out)
+
+
 def _direct_sum(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
-    p_iv = to_iv(p)
-    total = to_iv(0)
-    for j in range(a, b + 1):
-        total = total + to_iv(j + o) ** (-p_iv)
-    return total
+    t, prec = libmpi.mpi_neg(to_iv(p)._mpi_, iv.prec), iv.prec
+    return raw_total(libmpi.mpi_pow(to_iv(j + o)._mpi_, t, prec) for j in range(a, b + 1))
 
 
 def _cache_start(offset: Fraction) -> int:
@@ -381,7 +408,7 @@ def _cache_start(offset: Fraction) -> int:
 
 @memo(64)
 def _prefix(p: Fraction, o: Fraction) -> list:
-    """Prefix sums of (t+o)^(-p) from the canonical start, as far as :func:`_cum` filled them."""
+    """Raw prefix sums of (t+o)^(-p) from the canonical start, as far as :func:`_cum` filled them."""
     return []
 
 
@@ -390,12 +417,11 @@ def _cum(p: Fraction, o: Fraction, j: int) -> "iv.mpf":
     start = _cache_start(o)
     with _LOCK:
         arr = _prefix(p, o)
-        p_iv = to_iv(p)
+        t, prec, add = libmpi.mpi_neg(to_iv(p)._mpi_, iv.prec), iv.prec, adder()
         while len(arr) <= j - start:
-            t = start + len(arr)
-            term = to_iv(t + o) ** (-p_iv)
-            arr.append(term if not arr else arr[-1] + term)
-        return arr[j - start]
+            term = libmpi.mpi_pow(to_iv(start + len(arr) + o)._mpi_, t, prec)
+            arr.append(add(arr[-1], term) if arr else term)
+        return iv.make_mpf(arr[j - start])
 
 
 def _cached_range(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
@@ -407,36 +433,46 @@ def _cached_range(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
 
 @memo(64)
 def _em_constants(p: Fraction):
-    """p's enclosure and the Euler-Maclaurin factors of x^(-p) at the working
-    precision: (coefficient * rising factorial, exponent) for each B_2k term
-    and for the remainder."""
+    """Raw enclosures at the working precision: p - 1; the Euler-Maclaurin
+    coefficients of x^(-p), B_2k / (2k)! times a rising factorial, for
+    k = 1..4 and then the remainder's |B_10| / 10!; and the exponents of
+    x in the bracket, 1 - p and -p, then -p - (2k - 1) for the same k."""
     p_iv = to_iv(p)
-    terms = tuple(
-        (to_iv(Fraction(b2k, factorial(2 * k))) * _rising(p_iv, 2 * k - 1), -p_iv - (2 * k - 1))
-        for k, b2k in enumerate(_B2K, start=1)
-    )
-    rem = (to_iv(abs(Fraction(_B10, factorial(10)))) * _rising(p_iv, 9), -p_iv - 9)
-    return p_iv, terms, rem
+    coeffs = [to_iv(Fraction(b2k, factorial(2 * k))) * _rising(p_iv, 2 * k - 1)
+              for k, b2k in enumerate(_B2K, start=1)]
+    coeffs.append(to_iv(abs(Fraction(_B10, factorial(10)))) * _rising(p_iv, 9))
+    exps = [1 - p_iv, -p_iv] + [-p_iv - (2 * k - 1) for k in range(1, 6)]
+    return (p_iv - 1)._mpi_, tuple(c._mpi_ for c in coeffs), tuple(e._mpi_ for e in exps)
+
+
+@memo(64)
+def _em_ends(p: Fraction, x: Fraction) -> tuple:
+    """The raw powers of x in the bracket of p, at the exponents of :func:`_em_constants`."""
+    return _powers(to_iv(x)._mpi_, _em_constants(p)[2], iv.prec)
 
 
 def _em_core(p: Fraction, o: Fraction, a: int, b: Optional[int]) -> "iv.mpf":
-    p_iv, terms, (rem_c, rem_e) = _em_constants(p)
-    xa = to_iv(a + o)
+    """Euler-Maclaurin bracket of sum_{j=a}^{b} (j+o)^(-p) from the powers
+    of its endpoints: u = x^(1-p) for the integral, h = x^(-p) for the end
+    terms, then those of the B_2k terms and of the remainder (w)."""
+    pm1, coeffs, _ = _em_constants(p)
+    prec = iv.prec
+    add, sub, mul, div = (partial(f, prec=prec) for f in (
+        libmpi.mpi_add, libmpi.mpi_sub, libmpi.mpi_mul, libmpi.mpi_div))
+    u, h, *w = _em_ends(p, a + o)
     if b is None:
-        integral = xa ** (1 - p_iv) / (p_iv - 1)
-        s = integral + xa ** (-p_iv) / 2
-        for c, e in terms:
-            s = s + c * xa ** e
-        return plus_minus(s, rem_c * xa ** rem_e)
-    xb = to_iv(b + o)
-    if p == 1:
-        integral = iv.log(xb / xa)
+        s = add(div(u, pm1), div(h, _TWO))
     else:
-        integral = (xa ** (1 - p_iv) - xb ** (1 - p_iv)) / (p_iv - 1)
-    s = integral + (xa ** (-p_iv) + xb ** (-p_iv)) / 2
-    for c, e in terms:
-        s = s + c * (xa ** e - xb ** e)
-    return plus_minus(s, rem_c * (xa ** rem_e + xb ** rem_e))
+        ub, hb, *wb = _em_ends(p, b + o)
+        if p == 1:
+            integral = libmpi.mpi_log(div(to_iv(b + o)._mpi_, to_iv(a + o)._mpi_), prec)
+        else:
+            integral = div(sub(u, ub), pm1)
+        s = add(integral, div(add(h, hb), _TWO))
+        w = [sub(x, y) for x, y in zip(w[:-1], wb[:-1])] + [add(w[-1], wb[-1])]
+    for c, x in zip(coeffs[:-1], w):
+        s = add(s, mul(c, x))
+    return plus_minus(iv.make_mpf(s), iv.make_mpf(mul(coeffs[-1], w[-1])))
 
 
 def powsum(p: Fraction, offset: Fraction, a: int, b: Optional[int] = None) -> "iv.mpf":

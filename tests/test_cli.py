@@ -332,6 +332,16 @@ def test_malformed_input_exits_one_with_one_error_line(qvec_files, capsys, argv)
     assert captured.err.count("\n") == 1
 
 
+def test_cover_to_end_on_an_enclosure_family_exits_one_with_one_error_line(qvec_files, capsys):
+    # the known b = end defect of enclosure families: a bare NotImplementedError
+    rc = main(["cover", "--qvec", qvec_files["powerlaw"], "--a", "digits:[0,3]", "--b", "end",
+               "--alpha", "1/2", "--delta", "1/5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (NotImplementedError): not implemented for this input\n"
+
+
 _LEVEL = {"k": 1, "M": 2, "gamma_lo": "1/2", "gamma_hi": "1/2", "eps": "1/100"}
 _CANTOR = {"qvec": {"family": "luroth"}, "alpha": "1/2", "delta": "1/5", "L": "1/2", "N": 0,
            "levels": [_LEVEL]}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, libmp, mp
+from mpmath.libmp import libmpi
 
 from qinfty import QVectorSpec, rigor
 from qinfty.errors import CapacityError, Undecided
@@ -88,6 +89,16 @@ def test_hull_and_plus_minus():
         assert lower(h) <= Fraction(1, 4) and upper(h) >= Fraction(1, 2)
         pm = plus_minus(to_iv(Fraction(1, 2)), to_iv(Fraction(1, 100)))
         assert lower(pm) <= Fraction(49, 100) and upper(pm) >= Fraction(51, 100)
+
+
+def test_plus_minus_widens_by_the_larger_end_of_a_negative_or_straddling_error():
+    with workprec(96):
+        for err in (hull(Fraction(-5), Fraction(-1)), hull(Fraction(-5), Fraction(1))):
+            assert endpoints(plus_minus(Fraction(0), err)) == (Fraction(-5), Fraction(5))
+        assert endpoints(plus_minus(Fraction(1), hull(Fraction(-1), Fraction(3)))) == (Fraction(-2), Fraction(4))
+        for err in (to_iv(1) / iv.mpf([-1, 1]), iv.mpf([-1, "inf"])):
+            with pytest.raises(Undecided, match="96 bits"):
+                plus_minus(Fraction(0), err)
 
 
 def test_decide_le_certified_and_undecided():
@@ -357,9 +368,11 @@ def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
 
 
 def test_memo_caches_are_bounded():
-    assert len(rigor.MEMOS) == 10
+    assert len(rigor.MEMOS) == 11
     assert QVectorSpec.weight_power_block_top in rigor.MEMOS
     assert QVectorSpec.weight_power_block_top.cache_info().maxsize == 128
+    assert rigor._em_ends in rigor.MEMOS
+    assert rigor._em_ends.cache_info().maxsize == 64
     for cached in rigor.MEMOS:
         assert cached.cache_info().maxsize is not None
 
@@ -566,3 +579,140 @@ def test_escalate_lets_a_plain_capacity_error_out_of_the_first_rung():
         rigor.escalate(fn, 24)
     assert not isinstance(info.value, Undecided)
     assert seen == [24]
+
+
+# --- the raw power kernel against the interval expressions it replaces ------
+
+_KERNEL_BITS = st.sampled_from([16, 24, 53, 96, 192])
+_derandomized = settings(derandomize=True, deadline=None, max_examples=60)
+
+# nonnegative raw mpfs from 2^-80 to about 10^60, exact squares (whose
+# square roots are exact, unlike exp(log(x) / 2)) and exact zero
+_raw_positive = st.one_of(
+    st.just(libmp.fzero),
+    st.builds(libmp.from_man_exp, st.integers(1, 2**80), st.integers(-160, 120)),
+    st.builds(lambda m, e: libmp.from_man_exp(m * m, 2 * e), st.integers(1, 2**20), st.integers(-40, 40)),
+)
+
+
+@st.composite
+def _raw_bases(draw):
+    a, b = sorted((draw(_raw_positive), draw(_raw_positive)), key=lambda r: mp.make_mpf(r))
+    return (a, a) if draw(st.booleans()) else (a, b)
+
+
+def _raw_interval(t: Fraction, w: Fraction) -> tuple:
+    """[t - w, t + w] with both ends rounded down to 60 bits."""
+    return tuple(libmp.from_rational(v.numerator, v.denominator, 60, libmp.round_floor) for v in (t - w, t + w))
+
+
+_raw_exponents = st.one_of(
+    st.builds(lambda n: (libmp.from_int(n),) * 2, st.integers(-12, 12)),
+    st.sampled_from([(libmp.fhalf,) * 2, (libmp.mpf_neg(libmp.fhalf),) * 2]),
+    st.builds(
+        _raw_interval,
+        st.fractions(min_value=-12, max_value=12, max_denominator=64),
+        st.sampled_from([Fraction(0), Fraction(1, 2**60), Fraction(1, 2**20)]),
+    ),
+)
+
+
+# a log taken at other than mpi_pow's prec + 20 bits changes few powers,
+# and an example costs about 3 ms, so this test draws many
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_KERNEL_BITS, _raw_bases(), st.lists(_raw_exponents, min_size=1, max_size=8))
+def test_shared_log_powers_match_mpi_pow(bits, x, exps):
+    assert rigor._powers(x, exps, bits) == tuple(libmpi.mpi_pow(x, t, bits) for t in exps)
+
+
+_EM_P = st.one_of(
+    st.integers(2, 5).map(Fraction),
+    st.integers(0, 9).map(lambda n: Fraction(2 * n + 1, 2)),
+    st.just(Fraction(1)),
+    st.just(Fraction(4, 5)),
+)
+_EM_A = st.one_of(st.integers(2, 10**4), st.integers(2, 10**60))
+
+
+@st.composite
+def _em_right_ends(draw, p: Fraction, a: int):
+    kinds = ["near", "far"] + (["tail"] if p > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tail":
+        return None
+    if kind == "near":
+        return a + draw(st.integers(0, 1000))
+    return a + draw(st.integers(10**3, 10**60))
+
+
+@_derandomized
+@given(
+    st.sampled_from([(16, 96), (24, 53), (53, 192), (96, 24), (192, 16)]),
+    _EM_P,
+    st.fractions(min_value=-1, max_value=10, max_denominator=6),
+    _EM_A,
+    st.data(),
+)
+def test_em_core_on_raw_endpoints_is_bit_identical(bits_pair, p, o, a, data):
+    # several right ends against one left end, so the endpoint memo serves
+    # the left end; then the same calls at a second precision and again at
+    # the first, so no memo serves a value across precisions
+    bs = data.draw(st.lists(_em_right_ends(p, a), min_size=1, max_size=4), label="bs")
+    for bits in bits_pair + bits_pair[:1]:
+        with workprec(bits):
+            for b in bs + bs[:1]:
+                assert rigor._em_core(p, o, a, b)._mpi_ == _em_core_reference(p, o, a, b)._mpi_
+                # the right end as the left end of the next range
+                if b is not None and b > a:
+                    assert rigor._em_core(p, o, b, b + a)._mpi_ == _em_core_reference(p, o, b, b + a)._mpi_
+
+
+_SUM_P = st.one_of(
+    st.integers(1, 4).map(Fraction),
+    st.integers(0, 5).map(lambda n: Fraction(2 * n + 1, 2)),
+    st.sampled_from([Fraction(4, 5), Fraction(9, 10), Fraction(7, 3)]),
+)
+
+
+@_derandomized
+@given(
+    _KERNEL_BITS,
+    _SUM_P,
+    st.fractions(min_value=-3, max_value=5, max_denominator=4),
+    st.integers(0, 60),
+    st.integers(0, 80),
+)
+def test_direct_sum_and_prefix_fill_are_bit_identical(bits, p, o, skip, length):
+    start = rigor._cache_start(o)
+    a = start + skip
+    with workprec(bits):
+        assert rigor._direct_sum(p, o, a, a + length)._mpi_ == _direct_sum_reference(p, o, a, a + length)._mpi_
+        rigor._prefix(p, o).clear()
+        # a cold fill to a + length, then a read below it and a longer fill
+        for j in (a + length, a, a + length + 7):
+            assert rigor._cum(p, o, j)._mpi_ == _direct_sum_reference(p, o, start, j)._mpi_
+
+
+_IPOW_BASES = st.one_of(
+    st.fractions(min_value=0, max_value=4, max_denominator=1000),
+    st.integers(0, 50),
+    st.fractions(min_value=0, max_value=4, max_denominator=1000).map(lambda v: hull(Fraction(0), v)),
+    st.tuples(
+        st.fractions(min_value=0, max_value=4, max_denominator=100),
+        st.fractions(min_value=0, max_value=4, max_denominator=100),
+    ).map(lambda ends: hull(*sorted(ends))),
+)
+_IPOW_EXPONENTS = st.one_of(
+    st.integers(-8, 8),
+    st.integers(-8, 8).map(Fraction),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@_derandomized
+@given(_KERNEL_BITS, _IPOW_BASES, _IPOW_EXPONENTS)
+def test_ipow_is_bit_identical_to_the_interval_power(bits, base, expo):
+    with workprec(bits):
+        expected = to_iv(base) ** (expo if isinstance(expo, int) else to_iv(expo))
+        assert ipow(base, expo)._mpi_ == expected._mpi_
