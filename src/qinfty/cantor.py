@@ -205,7 +205,7 @@ def _linear_scan_cannot_violate(
     """
     if not spec.weights_nonincreasing_from(k):
         return False
-    rhs_most = (_LINEAR_M_CAP + 1) * spec.weight_power(k, alpha)
+    rhs_most = (_LINEAR_M_CAP + 1) * ipow(spec.q(k), alpha)
     lhs_least = ipow((m_min + 1) * spec.q(k + m_min), expo)
     return rigor.decide_le(rhs_most, lhs_least) is True
 

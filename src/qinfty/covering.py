@@ -11,8 +11,10 @@ scheme over the spec's weights from the tail's first digit on, read
 through ``QVectorSpec.tail_sum`` and ``range_sum``: cut where the tail mass
 first drops below half the previous target, so the group masses are
 dominated by a geometric sequence and the alpha-power series telescopes
-against the head group.  The defining inequality is re-verified
-numerically on every construction instead of being trusted.  Two memos of
+against the head group.  The construction certifies the defining
+inequality by directed rounding when it picks the head boundary;
+``Lemma1Partition.verify`` is a directed re-check of it over the
+first groups, run by ``selftest`` and the tests.  Two memos of
 256 entries each, :func:`lemma1_partition` and :func:`kappa`, share
 partitions and covering constants between covers at one working precision.
 

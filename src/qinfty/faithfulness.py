@@ -156,13 +156,13 @@ class _Running:
         return self.value
 
 
-def _rhs_bound(top: tuple, adds: int) -> tuple:
+def _rhs_bound(top: tuple, adds: int, prec: int) -> tuple:
     """A raw mpf at least upper(rhs) of a running sum made by ``adds``
-    additions rounded up, whose first value's upper end and added terms'
-    upper ends sum to at most ``top``.  Each add multiplies the error by at
-    most 1 + 2^(1-p) at p bits, and (1 + u)^c <= 1/(1 - c u), so the bound
-    is top / (1 - adds 2^(1-p)) rounded up; +inf once adds 2^(1-p) >= 1/2."""
-    prec = iv.prec
+    additions rounded up at ``prec`` bits, whose first value's upper end and
+    added terms' upper ends sum to at most ``top``.  Each add multiplies the
+    error by at most 1 + 2^(1-p) at p bits, and (1 + u)^c <= 1/(1 - c u), so
+    the bound is top / (1 - adds 2^(1-p)) rounded up; +inf once
+    adds 2^(1-p) >= 1/2."""
     if adds >= 2 ** (prec - 2):
         return libmp.finf
     den = libmp.mpf_sub(libmp.fone, libmp.from_man_exp(adds, 1 - prec), 0)
@@ -179,7 +179,8 @@ def row_cells(
     The walk covers the row left to right with spans [a, b] of cells.  A
     span is closed when lower(lhs(a)) - U(b) >= ``floor()``, read afresh
     for each span, where U(b) (:func:`_rhs_bound` of the weight powers'
-    upper ends, aligned blocks read as one memoized total) is at least
+    upper ends, an aligned block read as the top that
+    ``QVectorSpec.weight_power_block`` keeps with its powers) is at least
     upper(rhs) of every cell M <= b.  Span lengths double while spans close;
     a span that does not close is halved, its left half tried first, and a
     one-cell span that does not close is yielded.  Both sides grow with M,
@@ -191,8 +192,11 @@ def row_cells(
     The running sums (``rigor.adder``, the terms and order of a scan of
     every cell, so the same bits) advance only as far as a yielded cell, or
     on an enclosure spec a span start whose mass is read; an exact spec's
-    window mass is its exact ``range_sum``.  A row keeps O(1) state.
+    window mass is its exact ``range_sum``.  A row keeps O(1) state.  The
+    working precision is read once, where the adders are built, and U(b)
+    is taken at that precision.
     """
+    prec = iv.prec  # the adders' precision, so also the bound's
     add, add_up = rigor.adder(), rigor.upper_adder()
     head = spec.power_sum(alpha, k, k + m_min)._mpi_
     rhs = _Running(accumulate(spec.raw_weight_powers(alpha, k + m_min + 1, k + m_max), add,
@@ -208,7 +212,7 @@ def row_cells(
         if lhs is None:
             lhs = ipow(spec.range_sum(k, k + a) if mass is None else iv.make_mpf(mass.at(a)), expo)
         top_b = add_up(top, spec.raw_power_top(alpha, k + top_at + 1, k + b))
-        bound = libmp.mpf_sub(lhs._mpi_[0], _rhs_bound(top_b, b - m_min), 0)
+        bound = libmp.mpf_sub(lhs._mpi_[0], _rhs_bound(top_b, b - m_min, prec), 0)
         closed = mp.make_mpf(bound) >= floor()
         if closed or a == b:
             if not closed:

@@ -42,8 +42,9 @@ _SUM_MEMO = 1024
 
 
 @rigor.memo(64)
-def _zeta_enclosure(m0: Fraction):
-    return powsum(m0, Fraction(0), 1, None)
+def _normalizer(m0: Fraction) -> "iv.mpf":
+    """The power-law normalizer 1/zeta(m0) as an enclosure."""
+    return 1 / powsum(m0, Fraction(0), 1, None)
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,6 @@ class QVectorSpec:
         """Lift an exact constant (int or Fraction) to this spec's value kind."""
         return Fraction(x) if self.is_exact else to_iv(x)
 
-    def _norm_const(self):
-        """Power-law normalizer 1/zeta(m0) as an enclosure."""
-        return 1 / _zeta_enclosure(self.m0)
-
     @cached_property
     def _effective_weights(self) -> tuple[Fraction, ...]:
         """Custom family: the user weights, pad mass carved out of the last."""
@@ -138,7 +135,7 @@ class QVectorSpec:
         if self.family == "luroth":
             return Fraction(1, (i + 1) * (i + 2))
         if self.family == "powerlaw":
-            return self._norm_const() * ipow(i + 1, -self.m0)
+            return _normalizer(self.m0) * ipow(i + 1, -self.m0)
         eff = self._effective_weights
         k = len(eff)
         if i < k:
@@ -147,48 +144,43 @@ class QVectorSpec:
 
     @rigor.memo(_POWER_BLOCKS)
     def weight_power_block(self, j: int, s: Fraction) -> tuple:
-        """Raw enclosures (``_mpi_``) of q_i^s for the 32 indices
-        32j <= i < 32(j+1), each the bits of ``ipow(self.q(i), s)``.
+        """(powers, top) for the 32 indices 32j <= i < 32(j+1): powers holds
+        the raw enclosures (``_mpi_``) of q_i^s, each the bits of
+        ``ipow(self.q(i), s)``, and top, a raw mpf, is at least the sum of
+        their upper ends, added in index order rounding up.
 
         Memoized per (spec, j, s, precision) in a least-recently-used memo of
         128 blocks, 4096 indices; a scan over more indices gets no hits.
         """
         start = j * _POWER_BLOCK
-        return tuple(ipow(self.q(i), s)._mpi_ for i in range(start, start + _POWER_BLOCK))
+        powers = tuple(ipow(self.q(i), s)._mpi_ for i in range(start, start + _POWER_BLOCK))
+        return powers, reduce(rigor.upper_adder(), (p[1] for p in powers), libmp.fzero)
 
-    def raw_weight_powers(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
-        """Raw enclosures of q_i^s for a <= i <= b in order, one block lookup
-        per 32 indices (none when b < a)."""
+    def _power_blocks(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
+        """(powers, top, lo, hi) for each block of :meth:`weight_power_block`
+        that meets a <= i <= b, in order, with powers[lo:hi] the part inside
+        the range; no block when b < a."""
         if b < a:
             return
         for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
             start = j * _POWER_BLOCK
-            yield from self.weight_power_block(j, s)[max(a - start, 0):b - start + 1]
+            yield (*self.weight_power_block(j, s), max(a - start, 0), min(b - start + 1, _POWER_BLOCK))
 
-    @rigor.memo(_POWER_BLOCKS)
-    def weight_power_block_top(self, j: int, s: Fraction) -> tuple:
-        """A raw mpf at least the sum of the upper ends of
-        :meth:`weight_power_block` (j, s), added rounding up; memoized like
-        that block, per (spec, j, s, precision), 128 blocks."""
-        return reduce(rigor.upper_adder(), (p[1] for p in self.weight_power_block(j, s)), libmp.fzero)
+    def raw_weight_powers(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
+        """Raw enclosures of q_i^s for a <= i <= b in order, one block lookup
+        per 32 indices (none when b < a)."""
+        for powers, _, lo, hi in self._power_blocks(s, a, b):
+            yield from powers[lo:hi]
 
     def raw_power_top(self, s: Fraction, a: int, b: int) -> tuple:
         """A raw mpf at least the sum of the upper ends of q_i^s for
         a <= i <= b (0 when b < a), added rounding up: an aligned block of
-        32 indices inside the range reads :meth:`weight_power_block_top`."""
+        32 indices inside the range reads the top of its block."""
         add, total = rigor.upper_adder(), libmp.fzero
-        for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
-            lo, hi = max(a - j * _POWER_BLOCK, 0), min(b - j * _POWER_BLOCK + 1, _POWER_BLOCK)
-            if hi - lo == _POWER_BLOCK:
-                total = add(total, self.weight_power_block_top(j, s))
-            else:
-                total = reduce(add, (p[1] for p in self.weight_power_block(j, s)[lo:hi]), total)
+        for powers, top, lo, hi in self._power_blocks(s, a, b):
+            total = (add(total, top) if hi - lo == _POWER_BLOCK
+                     else reduce(add, (p[1] for p in powers[lo:hi]), total))
         return total
-
-    def weight_power(self, i: int, s: Fraction) -> "iv.mpf":
-        """Enclosure of q_i^s at the working precision, read from its block
-        of :meth:`weight_power_block`: the bits of ``ipow(self.q(i), s)``."""
-        return iv.make_mpf(self.weight_power_block(i // _POWER_BLOCK, s)[i % _POWER_BLOCK])
 
     def weights_nonincreasing_from(self, k: int) -> bool:
         """Whether q_k >= q_{k+1} >= ... is known without a scan: always for
@@ -207,7 +199,7 @@ class QVectorSpec:
         if self.family == "luroth":
             return Fraction(n, n + 1)
         if self.family == "powerlaw":
-            return self._norm_const() * powsum(self.m0, Fraction(0), 1, n)
+            return _normalizer(self.m0) * powsum(self.m0, Fraction(0), 1, n)
         return 1 - self.tail_sum(n)
 
     @rigor.memo(_SUM_MEMO)
@@ -225,7 +217,7 @@ class QVectorSpec:
         if self.family == "luroth":
             return Fraction(1, n + 1)
         if self.family == "powerlaw":
-            return self._norm_const() * powsum(self.m0, Fraction(0), n + 1, None)
+            return _normalizer(self.m0) * powsum(self.m0, Fraction(0), n + 1, None)
         k = len(self.weights)
         if n >= k:
             return self.pad_mass * Fraction(1, 2 ** (n - k))
@@ -237,7 +229,7 @@ class QVectorSpec:
             return self.num(0)
         if self.is_exact:
             return self.head_sum(b + 1) - self.head_sum(a)
-        return self._norm_const() * powsum(self.m0, Fraction(0), a + 1, b + 1)
+        return _normalizer(self.m0) * powsum(self.m0, Fraction(0), a + 1, b + 1)
 
     def max_weight(self) -> Num:
         """The largest weight; found by the tail-cutoff scan."""
@@ -274,10 +266,6 @@ class QVectorSpec:
             raise ParameterRangeError("power exponent must be positive")
         if b is not None and b < a:
             return to_iv(0)
-        if s == 1:
-            if b is None:
-                return self.tail_sum(a)
-            return self.range_sum(a, b)
         if b is None and not self.power_tail_converges(s):
             raise CapacityError(f"divergent power sum at exponent {s} for {self.family}")
         if self.family == "geometric":
@@ -299,7 +287,7 @@ class QVectorSpec:
             z = Fraction(1, (2 * start + 3) ** 2)
             return head + rigor.hull(base, base * ipow(1 - z, -s))
         if self.family == "powerlaw":
-            c = self._norm_const()
+            c = _normalizer(self.m0)
             bb = None if b is None else b + 1
             return ipow(c, s) * powsum(self.m0 * s, Fraction(0), a + 1, bb)
         k = len(self.weights)

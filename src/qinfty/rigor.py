@@ -134,19 +134,23 @@ def workprec(bits: int = DEFAULT_PREC):
 
 
 def to_iv(x) -> "iv.mpf":
-    """Enclose an int, Fraction, or iv value; ivs pass through."""
+    """Enclose an int, Fraction, or iv value; ivs pass through.  An integer,
+    or a Fraction with denominator 1, gets the ends ``iv.mpf`` gives it,
+    without its generic dispatch."""
     if isinstance(x, Fraction):
         p, q = x.numerator, x.denominator
-        if q == 1:
-            return iv.mpf(p)
+        if q != 1:
+            prec = iv.prec
+            if p.bit_length() <= prec and q.bit_length() <= prec:
+                # both lift exactly, so this is the interval division's result
+                return iv.make_mpf((libmp.from_rational(p, q, prec, libmp.round_floor),
+                                    libmp.from_rational(p, q, prec, libmp.round_ceiling)))
+            return to_iv(p) / to_iv(q)
+        x = p
+    if isinstance(x, int):
         prec = iv.prec
-        if p.bit_length() <= prec and q.bit_length() <= prec:
-            # both lift exactly, so this is the interval division's result
-            return iv.make_mpf((
-                libmp.from_rational(p, q, prec, libmp.round_floor),
-                libmp.from_rational(p, q, prec, libmp.round_ceiling),
-            ))
-        return iv.mpf(p) / iv.mpf(q)
+        return iv.make_mpf((libmp.from_int(x, prec, libmp.round_floor),
+                            libmp.from_int(x, prec, libmp.round_ceiling)))
     return iv.mpf(x)
 
 
@@ -488,17 +492,14 @@ def powsum(p: Fraction, offset: Fraction, a: int, b: Optional[int] = None) -> "i
     if b is None:
         if p <= 1:
             raise CapacityError(f"divergent power sum: exponent {p} <= 1")
-        if a >= _EM_START:
-            return _em_core(p, offset, a, None)
-        return _cached_range(p, offset, a, _EM_START - 1) + _em_core(p, offset, _EM_START, None)
-    if b < a:
+    elif b < a:
         return to_iv(0)
-    if a == _cache_start(offset) and b < _EM_START + _DIRECT_RANGE:
+    elif a == _cache_start(offset) and b < _EM_START + _DIRECT_RANGE:
         return _cum(p, offset, b)
-    if b - a + 1 <= _DIRECT_RANGE:
+    elif b - a + 1 <= _DIRECT_RANGE:
         return _direct_sum(p, offset, a, b)
+    elif a < _EM_START and b < _EM_START + _DIRECT_RANGE:
+        return _cached_range(p, offset, a, b)
     if a >= _EM_START:
         return _em_core(p, offset, a, b)
-    if b < _EM_START + _DIRECT_RANGE:
-        return _cached_range(p, offset, a, b)
     return _cached_range(p, offset, a, _EM_START - 1) + _em_core(p, offset, _EM_START, b)

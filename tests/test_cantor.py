@@ -391,6 +391,39 @@ def test_level_volume_s1_is_length():
         assert ulo <= upper(direct) and lower(direct) <= uhi
 
 
+LUR = QVectorSpec.luroth()
+
+
+@functools.lru_cache(maxsize=None)
+def luroth2() -> CantorSpec:
+    # the levels `cantor build` finds for Luroth at alpha 3/5, delta 1/5, L 1/2
+    return assemble_cantor(
+        LUR, Fraction(3, 5), Fraction(1, 5), HALF_L, Fraction(1, 1000), 10,
+        [(1024, 105), (157957915323280397, 57402101690981)],
+    )
+
+
+def geometric2() -> CantorSpec:
+    # geometric windows never violate, so no build certifies one; the volume
+    # reads only the levels' windows, whose gammas here are placeholders
+    levels = [CantorLevel(k, M, Fraction(1), Fraction(1), Fraction(1, 1000)) for k, M in [(11, 11), (40, 20)]]
+    return CantorSpec(GEO, Fraction(3, 5), Fraction(1, 5), HALF_L, 10, levels)
+
+
+@pytest.mark.parametrize("make", [luroth2, geometric2], ids=["luroth", "geometric"])
+def test_level_volume_at_one_encloses_the_exact_window_masses(make):
+    # at s = 1 both families are the product of the window masses, which an
+    # exact spec knows exactly
+    spec = make()
+    exact = Fraction(1)
+    for n, lvl in enumerate(spec.levels, start=1):
+        exact *= spec.qvec.range_sum(lvl.k, lvl.k + lvl.M)
+        for family in (PHI_SPLIT, BLOCK_UNION):
+            lo, hi = level_volume(spec, n, Fraction(1), family)
+            assert lo <= exact <= hi
+            assert hi - lo < exact / 10**20
+
+
 def test_volume_product_matches_enumeration():
     # depth-2 toy: every address enumerated, matched against the product
     # form within 1e-10 for both families

@@ -522,6 +522,36 @@ def test_cantor_gap_separates_from_a_low_first_rung(cantor3, tmp_path, capsys, b
     assert doc["separation_certified"] is True
 
 
+def test_cantor_volume_at_one_on_an_exact_family(qvec_files, tmp_path, capsys):
+    spec_path, vol_path = tmp_path / "lc.json", tmp_path / "v.csv"
+    rc = main(["cantor", "build", "--qvec", qvec_files["luroth"], "--alpha", "3/5", "--delta", "1/5",
+               "--L", "1/2", "--depth", "2", "--out", str(spec_path)])
+    assert rc == 0
+    levels = json.loads(spec_path.read_text())["levels"]
+    assert [(lvl["k"], lvl["M"]) for lvl in levels] == [(1024, 105), (157957915323280397, 57402101690981)]
+    capsys.readouterr()
+    rc = main(["cantor", "volume", "--spec", str(spec_path), "--s-grid", "1/2,1", "--csv", str(vol_path)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(vol_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # at s = 1 both families' volumes enclose the product of the exact window masses
+    lur = QVectorSpec.luroth()
+    exact = Fraction(1)
+    for lvl in levels:
+        exact *= lur.range_sum(lvl["k"], lvl["k"] + lvl["M"])
+    at_one = [row for row in rows if Fraction(row[1]) == 1]
+    assert sorted(row[0] for row in at_one) == ["block_union", "phi_split"]
+    for _, _, lo, hi in at_one:
+        assert Fraction(lo) <= exact <= Fraction(hi)
+    rc = main(["cantor", "volume", "--spec", str(spec_path), "--s-grid", "1", "--family", "phi_split",
+               "--level", "1", "--csv", str(vol_path)])
+    assert rc == 0
+    with open(vol_path, newline="") as fh:
+        (_, s, lo, hi), = list(csv.reader(fh))[1:]
+    assert Fraction(lo) <= lur.range_sum(1024, 1129) <= Fraction(hi)
+
+
 def test_failed_cantor_volume_leaves_no_csv(cantor3, tmp_path, capsys):
     # the rows at s = 1/10 certify before s = 3/2 is refused
     path = tmp_path / "vol.csv"

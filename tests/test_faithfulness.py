@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from unittest.mock import patch
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from qinfty import faithfulness, rigor
 from qinfty.errors import CapacityError, ParameterRangeError, QinftyError, Undecided
@@ -527,7 +529,8 @@ def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memo
             return self.powers[key]
 
     def spy(self, j, s):
-        return Reads(j, memoized(self, j, s))
+        powers, top = memoized(self, j, s)
+        return Reads(j, powers), top
 
     monkeypatch.setattr(QVectorSpec, "weight_power_block", spy)
     verdict = check_condition(PL2, query).to_json()
@@ -611,11 +614,23 @@ def test_row_past_the_bound_precision_yields_every_cell_there():
     query = ConditionQuery(Fraction(9, 10), Fraction(1, 5), 17, 18, 2**14 + 60)
     m_min = query.N + 1
     with workprec(16):
-        assert faithfulness._rhs_bound(mp.mpf(1)._mpf_, 2**14) == mp.inf._mpf_
+        assert faithfulness._rhs_bound(mp.mpf(1)._mpf_, 2**14, 16) == mp.inf._mpf_
         assert faithfulness._check_row(LUR, query, 18) == _fraction_check_row(LUR, query, 18)
         far = [M for M, _, _ in row_cells(LUR, 18, query.alpha, query.alpha - query.delta,
                                           m_min, query.M_max, lambda: 0) if M >= m_min + 2**14]
     assert far == list(range(m_min + 2**14, query.M_max + 1))
+
+
+def test_span_bound_takes_the_precision_it_is_given():
+    # a walk's bound is at the precision its adders were built at, whatever
+    # the working precision is when it is taken
+    top = mp.mpf(1)._mpf_
+    with workprec(64):
+        assert faithfulness._rhs_bound(top, 2**14, 16) == mp.inf._mpf_
+        at_64 = faithfulness._rhs_bound(top, 2**14, 64)
+    assert at_64 != mp.inf._mpf_
+    with workprec(16):
+        assert faithfulness._rhs_bound(top, 2**14, 64) == at_64
 
 
 @settings(deadline=None, max_examples=40)
@@ -629,7 +644,7 @@ def test_span_bound_is_above_every_running_right_side(spec, k, m_min, adds, bits
     with workprec(bits):
         top = rigor.upper_adder()(spec.power_sum(alpha, k, k + m_min)._mpi_[1],
                                   spec.raw_power_top(alpha, k + m_min + 1, k + m_min + adds))
-        bound = rigor.frac_of_mpf(mp.make_mpf(faithfulness._rhs_bound(top, adds)))
+        bound = rigor.frac_of_mpf(mp.make_mpf(faithfulness._rhs_bound(top, adds, bits)))
         *_, (_, _, rhs) = every_cell(spec, k, alpha, alpha, m_min, m_min + adds)
         assert upper(rhs) <= bound
 
@@ -650,8 +665,10 @@ def test_block_scan_row_memory_does_not_grow_with_the_window_count():
 
 
 def _unmemoized_weight_power_block(self, j, s):
-    """QVectorSpec.weight_power_block without its memo: the power each cell took before."""
-    return tuple(ipow(self.q(i), s)._mpi_ for i in range(32 * j, 32 * j + 32))
+    """QVectorSpec.weight_power_block without its memo: the powers each cell
+    took before, and the rounded-up sum of their upper ends."""
+    powers = tuple(ipow(self.q(i), s)._mpi_ for i in range(32 * j, 32 * j + 32))
+    return powers, reduce(rigor.upper_adder(), (p[1] for p in powers), libmp.fzero)
 
 
 def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch, clear_memos):

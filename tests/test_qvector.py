@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from mpmath import iv
+from mpmath import iv, libmp, mp
 
+from qinfty import rigor
 from qinfty.errors import CapacityError, ParameterRangeError
 from qinfty.expansion import CylinderAddress, decode
-from qinfty.qvector import QVectorSpec
+from qinfty.qvector import QVectorSpec, _normalizer
 from qinfty.rigor import contains_value, enclosure_width, hull, ipow, lower, powsum, to_iv, upper, workprec
 
 
@@ -184,8 +186,17 @@ def test_power_tail_convergence_predicate():
 
 
 def test_power_sum_at_one_is_tail_sum():
-    assert LUR.power_sum(Fraction(1), 5) == LUR.tail_sum(5)
-    assert GEO.power_sum(Fraction(1), 0, 4) == GEO.head_sum(5)
+    # power sums are enclosures on every family, s = 1 included
+    with workprec(96):
+        for spec in (LUR, GEO, PL2, CUSTOM):
+            tail, head = spec.power_sum(Fraction(1), 5), spec.power_sum(Fraction(1), 0, 4)
+            assert not isinstance(tail, Fraction) and not isinstance(head, Fraction)
+            if spec.is_exact:
+                assert contains_value(tail, spec.tail_sum(5))
+                assert contains_value(head, spec.head_sum(5))
+            else:  # q_i^1 is q_i, so the sums of q_i's own bits
+                assert tail._mpi_ == spec.tail_sum(5)._mpi_
+                assert head._mpi_ == spec.head_sum(5)._mpi_
 
 
 def test_power_sum_geometric_closed_form():
@@ -373,7 +384,56 @@ def test_weight_power_is_ipow_of_the_weight(spec):
     for bits in (53, 96):
         with workprec(bits):
             for i in indices:
-                assert spec.weight_power(i, Fraction(2, 5))._mpi_ == ipow(spec.q(i), Fraction(2, 5))._mpi_
+                powers, _ = spec.weight_power_block(i // 32, Fraction(2, 5))
+                assert powers[i % 32] == ipow(spec.q(i), Fraction(2, 5))._mpi_
+
+
+def _upper_sum(ends) -> tuple:
+    """0 + e_1 + e_2 + ... of raw mpfs, each add rounded up, in order."""
+    return reduce(rigor.upper_adder(), ends, libmp.fzero)
+
+
+def _power_top_reference(spec, s, a, b) -> tuple:
+    """raw_power_top index by index: a run of 32 indices from a multiple of
+    32 adds its own rounded-up sum, any other index its upper end."""
+    add, total, i = rigor.upper_adder(), libmp.fzero, a
+    while i <= b:
+        n = 32 if i % 32 == 0 and i + 31 <= b else 1
+        total = add(total, _upper_sum(p[1] for p in spec.raw_weight_powers(s, i, i + n - 1)))
+        i += n
+    return total
+
+
+@pytest.mark.parametrize("spec", [LUR, GEO3, PL2, _SHUFFLED], ids=["luroth", "geometric", "powerlaw2", "custom"])
+@pytest.mark.parametrize("bits", [16, 24, 64])
+def test_power_block_tops_are_the_sums_of_their_upper_ends(clear_memos, spec, bits):
+    s = Fraction(2, 5)
+    with workprec(bits):
+        for j in (0, 1, 3):
+            powers, top = spec.weight_power_block(j, s)
+            assert top == _upper_sum(p[1] for p in powers)
+        # aligned, unaligned, one-index and empty ranges
+        for a, b in [(0, 31), (32, 127), (0, 95), (5, 70), (33, 40), (31, 32), (7, 7), (9, 8), (40, 3)]:
+            powers = list(spec.raw_weight_powers(s, a, b))
+            assert len(powers) == max(b - a + 1, 0)
+            top = spec.raw_power_top(s, a, b)
+            assert top == _power_top_reference(spec, s, a, b)
+            assert rigor.frac_of_mpf(mp.make_mpf(top)) >= sum(rigor.frac_of_mpf(mp.make_mpf(p[1])) for p in powers)
+
+
+def test_empty_power_ranges_compute_no_block(clear_memos):
+    s = Fraction(2, 5)
+    with workprec(53):
+        assert list(LUR.raw_weight_powers(s, 9, 8)) == []
+        assert LUR.raw_power_top(s, 9, 8) == libmp.fzero
+    assert QVectorSpec.weight_power_block.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bits", [53, 96])
+def test_normalizer_is_one_over_zeta(clear_memos, bits):
+    with workprec(bits):
+        for m0 in (Fraction(2), Fraction(3, 2)):
+            assert _normalizer(m0)._mpi_ == (1 / powsum(m0, Fraction(0), 1, None))._mpi_
 
 
 def test_weights_nonincreasing_from():

@@ -368,9 +368,9 @@ def test_prefix_lists_stay_bounded_past_the_asymptotic_start():
 
 
 def test_memo_caches_are_bounded():
-    assert len(rigor.MEMOS) == 11
-    assert QVectorSpec.weight_power_block_top in rigor.MEMOS
-    assert QVectorSpec.weight_power_block_top.cache_info().maxsize == 128
+    assert len(rigor.MEMOS) == 10
+    assert QVectorSpec.weight_power_block in rigor.MEMOS
+    assert QVectorSpec.weight_power_block.cache_info().maxsize == 128
     assert rigor._em_ends in rigor.MEMOS
     assert rigor._em_ends.cache_info().maxsize == 64
     for cached in rigor.MEMOS:
@@ -386,7 +386,7 @@ def test_memos_are_keyed_by_the_working_precision(order, clear_memos):
         with workprec(bits):
             # no memo may serve the value it computed at the other precision
             assert rigor._exponent(1, 3)._mpi_ == to_iv(Fraction(1, 3))._mpi_
-            power = spec.weight_power(i, s)._mpi_
+            power = spec.weight_power_block(i // 32, s)[0][i % 32]
             assert power == (to_iv(spec.q(i)) ** to_iv(s))._mpi_
             tail = pl2.tail_sum(i)._mpi_
             assert tail == QVectorSpec.tail_sum.__wrapped__(pl2, i)._mpi_
@@ -517,6 +517,22 @@ def test_direct_rational_lift_matches_interval_division(bits, p, q, negative):
     x = Fraction(-p if negative else p, q)
     with workprec(bits):
         assert to_iv(x)._mpi_ == _old_to_iv(x)._mpi_
+
+
+# integers lift by their own outward rounding; the draws include signs,
+# sizes up to 400 bits and powers of two, whose lift is exact at any precision
+_LIFT_INTS = st.one_of(
+    st.integers(-2**16, 2**16), st.integers(-2**400, 2**400),
+    st.builds(lambda e, neg: -2**e if neg else 2**e, st.integers(0, 400), st.booleans()),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([16, 24, 53, 96, 192]), _LIFT_INTS, st.booleans())
+def test_integer_lift_matches_the_interval_constructor(bits, n, as_fraction):
+    x = Fraction(n) if as_fraction else n
+    with workprec(bits):
+        assert to_iv(x)._mpi_ == iv.mpf(n)._mpi_
 
 
 @pytest.mark.parametrize("bits", [16, 53, 64, 96, 384])

@@ -12,5 +12,5 @@ def every_cell(spec, k, alpha, expo, m_min, m_max):
     for M in range(m_min, m_max + 1):
         if M > m_min:
             mass = mass + spec.q(k + M)
-            rhs = rhs + spec.weight_power(k + M, alpha)
+            rhs = rhs + ipow(spec.q(k + M), alpha)
         yield M, ipow(mass, expo), rhs
