@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import iv
+from mpmath import iv, libmp
 
 from . import rigor
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .faithfulness import row_cells, window_fast_margin
 from .qvector import QVectorSpec
-from .rigor import DEFAULT_PREC, Num, endpoints, ipow, lower, to_iv, upper
+from .rigor import DEFAULT_PREC, Num, endpoints, frac_of_raw, ipow, ipow_end, lower, mul_end, to_iv, upper
 
 PHI_SPLIT = "phi_split"
 BLOCK_UNION = "block_union"
@@ -202,12 +202,13 @@ def _linear_scan_cannot_violate(
     With weights nonincreasing from k, such a window's power sum is at most
     (_LINEAR_M_CAP + 1) q_k^alpha, and its mass is at least
     (m_min + 1) q_{k+m_min}, so its left side is at least that to the expo.
+    Only the upper end of the first and the lower end of the second are
+    computed.
     """
     if not spec.weights_nonincreasing_from(k):
         return False
-    rhs_most = (_LINEAR_M_CAP + 1) * ipow(spec.q(k), alpha)
-    lhs_least = ipow((m_min + 1) * spec.q(k + m_min), expo)
-    return rigor.decide_le(rhs_most, lhs_least) is True
+    rhs_most = mul_end(to_iv(_LINEAR_M_CAP + 1)._mpi_[1], ipow_end(spec.q(k), alpha, 1), 1)
+    return libmp.mpf_le(rhs_most, ipow_end((m_min + 1) * spec.q(k + m_min), expo, 0))
 
 
 def _minimal_violation_window(
@@ -241,7 +242,7 @@ def _minimal_violation_window(
             if rigor.decide_lt(lhs, rhs):
                 return M
 
-    bound = upper(ipow(spec.tail_sum(k), expo))
+    bound = frac_of_raw(ipow_end(spec.tail_sum(k), expo, 1))
 
     def hit(M: int) -> bool:
         return lower(spec.power_sum(alpha, k, k + M)) > bound
@@ -263,21 +264,26 @@ def _certify_level(
     Checks the eps_n tail budget, the violation witness and the union-block
     volume cap against ``prefix_pow``, the product of the earlier levels'
     window power sums at delta/2; returns the level and that product
-    extended by this level.
+    extended by this level.  Each check reads the one end it compares.
     """
     half = delta / 2
     if upper(qvec.tail_sum(k)) > eps_n:
         raise BudgetInfeasibleError(f"tail mass at {k} exceeds eps_{n} = {eps_n}")
     mass = qvec.range_sum(k, k + M)
     gamma = qvec.power_sum(alpha, k, k + M)
-    if not upper(ipow(mass, alpha - delta)) < lower(gamma):
+    if not frac_of_raw(ipow_end(mass, alpha - delta, 1)) < lower(gamma):
         raise NoViolationError(
             f"window ({k}, {M}) does not certify a violation at level {n}"
         )
-    if upper(ipow(mass, half) * prefix_pow) > L:
+    if _volume_upper(mass, half, prefix_pow) > L:
         raise BudgetInfeasibleError(f"union-block volume exceeds L at level {n}")
     level = CantorLevel(k, M, lower(gamma), upper(gamma), eps_n)
     return level, prefix_pow * qvec.power_sum(half, k, k + M)
+
+
+def _volume_upper(mass: Num, half: Fraction, prefix_pow: Num) -> Fraction:
+    """upper(mass^half * prefix_pow), from the upper ends of the two factors."""
+    return frac_of_raw(mul_end(ipow_end(mass, half, 1), prefix_pow._mpi_[1], 1))
 
 
 def _assemble(
@@ -342,7 +348,7 @@ def build_cantor(
             tail = qvec.tail_sum(k)
             if upper(tail) > eps_n:
                 return False
-            return upper(ipow(tail, half) * prefix_pow) <= L
+            return _volume_upper(tail, half, prefix_pow) <= L
 
         k_n = rigor.first_true(
             admissible, N + 1, _INDEX_CAP,
@@ -468,10 +474,10 @@ def local_dim_ratio(
     def ratio() -> RatioBound:
         total = _address_mass(spec, addr, spec.alpha - t)
         eps_n = spec.levels[addr.level - 1].eps
-        bound = ipow(eps_n, spec.delta - t)
-        if not upper(total) <= lower(bound):
+        bound = frac_of_raw(ipow_end(eps_n, spec.delta - t, 0))
+        if not upper(total) <= bound:
             raise Undecided(f"enclosure too wide to certify the local ratio bound at {iv.prec} bits")
-        return RatioBound(lower(total), upper(total), lower(bound))
+        return RatioBound(lower(total), upper(total), bound)
 
     return rigor.escalate(ratio, prec)
 

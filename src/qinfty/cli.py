@@ -13,6 +13,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -452,6 +453,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone: nothing to report, and the exit
+        # flush of what is still buffered goes to devnull instead of failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except QinftyError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from mpmath import iv, libmp, mp
 from . import rigor
 from .errors import CapacityError, ParameterRangeError, Undecided
 from .qvector import QVectorSpec
-from .rigor import Num, ipow, lower, upper, workprec
+from .rigor import Num, frac_of_raw, ipow, ipow_end, lower, upper, workprec
 
 HOLDS = "holds_on_region"
 VIOLATED = "violated"
@@ -116,29 +116,38 @@ class _Violation(Exception):
     rhs_lower: Fraction
 
 
-def _lhs(spec: QVectorSpec, n: int, M: Optional[int], expo: Fraction) -> Num:
-    mass = spec.tail_sum(n) if M is None else spec.range_sum(n, n + M)
-    return ipow(mass, expo)
+def _mass(spec: QVectorSpec, n: int, M: Optional[int]) -> Num:
+    """The mass of window [n, n+M], or of the whole tail from n for M = None."""
+    return spec.tail_sum(n) if M is None else spec.range_sum(n, n + M)
 
 
 def _cell(
     spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, expo: Fraction, start: int
 ) -> tuple[Num, Num]:
-    """(lhs, rhs) of cell (n, M), M = None meaning the limit cell.
+    """(lhs, rhs) of cell (n, M), M = None meaning the limit cell."""
+    mass = _mass(spec, n, M)
+    return ipow(mass, expo), _rhs(spec, n, M, alpha, mass, expo, start)
+
+
+def _rhs(
+    spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, mass: Num, expo: Fraction,
+    start: int,
+) -> Num:
+    """rhs of cell (n, M), whose window mass is ``mass``.
 
     On a divergent power tail, the limit cell's rhs is the first partial
     sum over [n, n+m], m doubling from max(start, 1), whose lower end passes
-    upper(lhs): the whole tail exceeds it, so the cell certifies a violation.
+    upper(mass^expo): the whole tail exceeds it, so the cell certifies a
+    violation.
     """
-    lhs = _lhs(spec, n, M, expo)
     if M is not None or spec.power_tail_converges(alpha):
-        return lhs, spec.power_sum(alpha, n, None if M is None else n + M)
-    lhs_up = upper(lhs)
+        return spec.power_sum(alpha, n, None if M is None else n + M)
+    lhs_up = frac_of_raw(ipow_end(mass, expo, 1))
     m = max(start, 1)
     while m <= _DIVERGENT_DOUBLING_CAP:
         partial = spec.power_sum(alpha, n, n + m)
         if lower(partial) > lhs_up:
-            return lhs, partial
+            return partial
         m *= 2
     raise CapacityError("divergent power tail failed to overtake the left side")
 
@@ -179,11 +188,13 @@ def row_cells(
     The walk covers the row left to right with spans [a, b] of cells.  A
     span is closed when lower(lhs(a)) - U(b) >= ``floor()``, read afresh
     for each span, where U(b) (:func:`_rhs_bound` of the weight powers'
-    upper ends, an aligned block read as the top that
-    ``QVectorSpec.weight_power_block`` keeps with its powers) is at least
-    upper(rhs) of every cell M <= b.  Span lengths double while spans close;
-    a span that does not close is halved, its left half tried first, and a
-    one-cell span that does not close is yielded.  Both sides grow with M,
+    upper ends, ``QVectorSpec.raw_power_top``, whose bits are a bound's and
+    not those of an index-order sum) is at least upper(rhs) of every cell
+    M <= b.  lower(lhs(a)) is ``rigor.ipow_end``, the one end the bound
+    reads; the whole lhs enclosure is taken only for a yielded cell.  Span
+    lengths double while spans close; a span that does not close is
+    halved, its left half tried first, and a one-cell span that does not
+    close is yielded.  Both sides grow with M,
     so lower(lhs(a)) - U(b) is at most every gap in the span while the
     computed lower(lhs) does not decrease in M (tests check it).  So a closed
     span holds no gap below the floor, and at floor 0 no violated or
@@ -206,18 +217,19 @@ def row_cells(
         initial=spec.range_sum(k, k + m_min)._mpi_), m_min)
     # top bounds upper(head) plus the powers' upper ends through cell top_at
     top, top_at = head[1], m_min
-    a, length, lhs = m_min, 1, None
+    a, length, lhs_low = m_min, 1, None
     while a <= m_max:
         b = min(a + length - 1, m_max)
-        if lhs is None:
-            lhs = ipow(spec.range_sum(k, k + a) if mass is None else iv.make_mpf(mass.at(a)), expo)
+        if lhs_low is None:
+            mass_a = spec.range_sum(k, k + a) if mass is None else iv.make_mpf(mass.at(a))
+            lhs_low = ipow_end(mass_a, expo, 0)
         top_b = add_up(top, spec.raw_power_top(alpha, k + top_at + 1, k + b))
-        bound = libmp.mpf_sub(lhs._mpi_[0], _rhs_bound(top_b, b - m_min, prec), 0)
+        bound = libmp.mpf_sub(lhs_low, _rhs_bound(top_b, b - m_min, prec), 0)
         closed = mp.make_mpf(bound) >= floor()
         if closed or a == b:
             if not closed:
-                yield a, lhs, iv.make_mpf(rhs.at(a))
-            top, top_at, a, lhs = top_b, b, b + 1, None
+                yield a, ipow(mass_a, expo), iv.make_mpf(rhs.at(a))
+            top, top_at, a, lhs_low = top_b, b, b + 1, None
             length = 2 * length if closed else 1
         else:
             length = (b - a + 1) // 2
@@ -236,8 +248,9 @@ def window_fast_margin(
     """
     if not spec.power_tail_converges(alpha):
         return None
-    margin = rigor.gap(_lhs(spec, k, m_min, expo), spec.power_sum(alpha, k, None))
-    return rigor.frac_of_mpf(margin) if margin >= 0 else None
+    lhs_low = ipow_end(_mass(spec, k, m_min), expo, 0)
+    margin = libmp.mpf_sub(lhs_low, spec.power_sum(alpha, k, None)._mpi_[1], 0)
+    return frac_of_raw(margin) if libmp.mpf_sign(margin) >= 0 else None
 
 
 def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fraction]:
@@ -293,10 +306,12 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:
     with workprec(bits):
         try:
-            lhs, rhs = _cell(spec, vio.n, vio.M, query.alpha, query.alpha - query.delta, query.M_max)
+            expo, mass = query.alpha - query.delta, _mass(spec, vio.n, vio.M)
+            lhs_up = ipow_end(mass, expo, 1)
+            rhs = _rhs(spec, vio.n, vio.M, query.alpha, mass, expo, query.M_max)
         except CapacityError:
             return False
-        return upper(lhs) < lower(rhs)
+        return frac_of_raw(lhs_up) < lower(rhs)
 
 
 def _check_region(spec: QVectorSpec, query: ConditionQuery) -> ConditionVerdict:
@@ -403,9 +418,11 @@ def scan_condition_region(
         for n in n_grid:
             row: list[MarginRow] = []
             for M in m_grid:
-                lhs, rhs = _cell(spec, n, M, alpha, expo, start)
+                mass = _mass(spec, n, M)
+                lhs_low = ipow_end(mass, expo, 0)
+                rhs = _rhs(spec, n, M, alpha, mass, expo, start)
                 rhs_col = lower(rhs) if M is None and diverges else upper(rhs)
-                row.append(MarginRow(n, M, lower(lhs), rhs_col))
+                row.append(MarginRow(n, M, frac_of_raw(lhs_low), rhs_col))
             by_m = sorted((c for c in row if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
                 if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:

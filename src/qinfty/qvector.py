@@ -144,42 +144,54 @@ class QVectorSpec:
 
     @rigor.memo(_POWER_BLOCKS)
     def weight_power_block(self, j: int, s: Fraction) -> tuple:
-        """(powers, top) for the 32 indices 32j <= i < 32(j+1): powers holds
-        the raw enclosures (``_mpi_``) of q_i^s, each the bits of
-        ``ipow(self.q(i), s)``, and top, a raw mpf, is at least the sum of
-        their upper ends, added in index order rounding up.
+        """(powers, heads, tails) for the 32 indices 32j <= i < 32(j+1):
+        powers holds the raw enclosures (``_mpi_``) of q_i^s, each the bits
+        of ``ipow(self.q(i), s)``; heads[n] and tails[n], raw mpfs, are at
+        least the sums of the upper ends of powers[:n] and powers[n:], added
+        rounding up from the block edge they start at.  heads[32] is the
+        block's total in index order.
 
         Memoized per (spec, j, s, precision) in a least-recently-used memo of
         128 blocks, 4096 indices; a scan over more indices gets no hits.
         """
         start = j * _POWER_BLOCK
         powers = tuple(ipow(self.q(i), s)._mpi_ for i in range(start, start + _POWER_BLOCK))
-        return powers, reduce(rigor.upper_adder(), (p[1] for p in powers), libmp.fzero)
+        add, ups = rigor.upper_adder(), [p[1] for p in powers]
+        heads = tuple(accumulate(ups, add, initial=libmp.fzero))
+        tails = tuple(accumulate(reversed(ups), add, initial=libmp.fzero))[::-1]
+        return powers, heads, tails
 
     def _power_blocks(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
-        """(powers, top, lo, hi) for each block of :meth:`weight_power_block`
-        that meets a <= i <= b, in order, with powers[lo:hi] the part inside
-        the range; no block when b < a."""
+        """(block, lo, hi) for each block of :meth:`weight_power_block` that
+        meets a <= i <= b, in order, with indices lo <= n < hi of the block
+        inside the range; no block when b < a."""
         if b < a:
             return
         for j in range(a // _POWER_BLOCK, b // _POWER_BLOCK + 1):
             start = j * _POWER_BLOCK
-            yield (*self.weight_power_block(j, s), max(a - start, 0), min(b - start + 1, _POWER_BLOCK))
+            yield self.weight_power_block(j, s), max(a - start, 0), min(b - start + 1, _POWER_BLOCK)
 
     def raw_weight_powers(self, s: Fraction, a: int, b: int) -> Iterator[tuple]:
         """Raw enclosures of q_i^s for a <= i <= b in order, one block lookup
         per 32 indices (none when b < a)."""
-        for powers, _, lo, hi in self._power_blocks(s, a, b):
+        for (powers, _, _), lo, hi in self._power_blocks(s, a, b):
             yield from powers[lo:hi]
 
     def raw_power_top(self, s: Fraction, a: int, b: int) -> tuple:
         """A raw mpf at least the sum of the upper ends of q_i^s for
-        a <= i <= b (0 when b < a), added rounding up: an aligned block of
-        32 indices inside the range reads the top of its block."""
+        a <= i <= b (0 when b < a), added rounding up: the part of the range
+        in a block reads one of the block's totals when it reaches an edge
+        of the block, and adds its upper ends one by one when it lies
+        strictly inside.  Its bits are a bound's, not those of an
+        index-order sum."""
         add, total = rigor.upper_adder(), libmp.fzero
-        for powers, top, lo, hi in self._power_blocks(s, a, b):
-            total = (add(total, top) if hi - lo == _POWER_BLOCK
-                     else reduce(add, (p[1] for p in powers[lo:hi]), total))
+        for (powers, heads, tails), lo, hi in self._power_blocks(s, a, b):
+            if lo == 0:
+                total = add(total, heads[hi])
+            elif hi == _POWER_BLOCK:
+                total = add(total, tails[lo])
+            else:
+                total = reduce(add, (p[1] for p in powers[lo:hi]), total)
         return total
 
     def weights_nonincreasing_from(self, k: int) -> bool:

@@ -11,10 +11,14 @@ controls width.
 Enclosure endpoints are binary floats, which mpmath compares and subtracts
 exactly, so comparisons between two enclosures run on the raw endpoints;
 a ``Fraction`` is built only where a bound is reported or an exact value
-takes part.  A step left undecided at the working precision raises
-``Undecided``, and :func:`escalate` retries it on the next rung of its
-ladder (start, 2x, 4x); every public entry point that takes a precision
-climbs that one ladder.
+takes part, and :func:`lower` and :func:`upper` build only the end they
+return.  Most certified comparisons read one end of each side, so
+:func:`ipow_end` computes one end of a fractional power, the bits that end
+of :func:`ipow` has, and :func:`mul_end` one end of a product.  A step
+left undecided at the working precision raises ``Undecided``, and
+:func:`escalate` retries it on the next rung of its ladder (start, 2x,
+4x); every public entry point that takes a precision climbs that one
+ladder.
 Every bounded memo of the package is a :func:`memo`, keyed by the working
 precision, so a value cached at one precision is never served at another.
 
@@ -133,6 +137,25 @@ def workprec(bits: int = DEFAULT_PREC):
             iv.prec = old
 
 
+_ROUND = (libmp.round_floor, libmp.round_ceiling)  # the rounding of each end, lower and upper
+
+
+def _lift_end(p: int, q: int, side: int, prec: int):
+    """End ``side`` (0 lower, 1 upper) of ``to_iv(Fraction(p, q))`` for
+    p, q >= 1, lifted alone by the branch :func:`to_iv` takes: an integer
+    gets the end ``iv.mpf`` gives it, a rational that fits the precision the
+    rounded quotient, and a wider one the end the interval division of its
+    two lifted integers gives, p's end over q's other end.  :func:`to_iv`
+    keeps its own two-end lift, the hot path of the power-sum prefix
+    fills."""
+    rnd = _ROUND[side]
+    if q == 1:
+        return libmp.from_int(p, prec, rnd)
+    if p.bit_length() <= prec and q.bit_length() <= prec:
+        return libmp.from_rational(p, q, prec, rnd)
+    return libmp.mpf_div(libmp.from_int(p, prec, rnd), libmp.from_int(q, prec, _ROUND[1 - side]), prec, rnd)
+
+
 def to_iv(x) -> "iv.mpf":
     """Enclose an int, Fraction, or iv value; ivs pass through.  An integer,
     or a Fraction with denominator 1, gets the ends ``iv.mpf`` gives it,
@@ -172,8 +195,9 @@ def raw_total(terms: Iterable) -> "iv.mpf":
     return iv.make_mpf(reduce(adder(), terms, to_iv(0)._mpi_))
 
 
-def _frac(raw) -> Fraction:
-    """Exact rational value of a raw mpf (sign, man, exp, bc)."""
+def frac_of_raw(raw) -> Fraction:
+    """Exact rational value of a raw mpf (sign, man, exp, bc); an infinite
+    or NaN one is Undecided."""
     sign, man, exp, _ = raw
     if not man:
         if exp:
@@ -185,7 +209,7 @@ def _frac(raw) -> Fraction:
 
 def frac_of_mpf(m) -> Fraction:
     """Exact rational value of an mpf (binary float, so always exact)."""
-    return _frac(m._mpf_)
+    return frac_of_raw(m._mpf_)
 
 
 def endpoints(x: Num) -> tuple[Fraction, Fraction]:
@@ -193,15 +217,26 @@ def endpoints(x: Num) -> tuple[Fraction, Fraction]:
     if isinstance(x, Fraction):
         return x, x
     at, bt = x._mpi_
-    return _frac(at), _frac(bt)
+    return frac_of_raw(at), frac_of_raw(bt)
 
 
 def lower(x: Num) -> Fraction:
-    return endpoints(x)[0]
+    """``endpoints(x)[0]``, converting only that end."""
+    return x if isinstance(x, Fraction) else frac_of_raw(x._mpi_[0])
 
 
 def upper(x: Num) -> Fraction:
-    return endpoints(x)[1]
+    """``endpoints(x)[1]``, converting only that end."""
+    return x if isinstance(x, Fraction) else frac_of_raw(x._mpi_[1])
+
+
+def mul_end(x, y, side: int):
+    """End ``side`` (0 lower, 1 upper) of the product of two enclosures
+    whose lower ends are nonnegative, from those ends of theirs (raw mpfs):
+    the end ``iv.mpf.__mul__`` gives, rounded toward its side at the
+    working precision.  The upper end needs only the first enclosure
+    nonnegative and the second's upper end positive."""
+    return libmp.mpf_mul(x, y, iv.prec, _ROUND[side])
 
 
 def enclosure_width(x: Num) -> Fraction:
@@ -279,13 +314,68 @@ def _exponent(num: int, den: int) -> "iv.mpf":
     return to_iv(Fraction(num, den))
 
 
+def _fractional_pow(base: Num, expo, sides: tuple):
+    """The ends ``sides`` (0 lower, 1 upper) of ``ipow(base, expo)`` for a
+    Fraction exponent that is neither an integer nor 1/2, on a base whose
+    enclosure is positive, finite and on one side of 1; None otherwise.
+
+    Each end is ``libmpi.mpi_pow``'s own: exp(t log x), with the end of the
+    base, of log x at prec + 20 bits and of the exponent t that
+    ``mpi_log``, ``mpi_mul`` and ``mpi_exp`` pick for the signs of log x and
+    t, rounded as they round it.  An exact base lifts only the ends it is
+    read on.
+    """
+    if type(expo) is not Fraction:
+        return None
+    t_num, t_den = expo.numerator, expo.denominator
+    if t_den == 1 or t_den == 2 and t_num == 1:
+        return None
+    prec = iv.prec
+    if type(base) is Fraction or type(base) is int:
+        p, q = (base, 1) if type(base) is int else (base.numerator, base.denominator)
+        if p <= 0:
+            return None
+        above = p >= q
+        end = partial(_lift_end, p, q, prec=prec)
+    else:
+        lo, hi = to_iv(base)._mpi_
+        if libmp.mpf_sign(lo) <= 0 or hi == libmp.finf:
+            return None
+        above = libmp.mpf_ge(lo, libmp.fone)
+        if not above and libmp.mpf_gt(hi, libmp.fone):
+            return None
+        end = (lo, hi).__getitem__
+    t = _exponent(t_num, t_den)._mpi_
+    ends = []
+    for side in sides:
+        e = side if t_num > 0 else 1 - side  # x^t grows with x for t > 0
+        log = libmp.mpf_log(end(e), prec + 20, _ROUND[e])
+        v = libmp.mpf_mul(log, t[side if above else 1 - side], prec + 20, _ROUND[side])
+        ends.append(libmp.mpf_exp(v, prec, _ROUND[side]))
+    return ends
+
+
+def ipow_end(base: Num, expo: Num, side: int):
+    """``ipow(base, expo)._mpi_[side]``, the raw lower (0) or upper (1) end,
+    computing only that end where :func:`_fractional_pow` applies: one lift
+    of the base's end, one log and one exp.  Anywhere else it is read off
+    :func:`ipow`, which raises what it raises."""
+    ends = _fractional_pow(base, expo, (side,))
+    return ipow(base, expo)._mpi_[side] if ends is None else ends[0]
+
+
 def ipow(base: Num, expo: Num) -> "iv.mpf":
     """Rigorous base**expo for nonnegative base.
 
-    A fractional power of an enclosure reaching below zero is undefined
-    there, so it raises Undecided: a higher precision may narrow the base
-    onto [0, inf).
+    A fractional power of a positive base on one side of 1 is
+    :func:`_fractional_pow` at both ends, the bits ``libmpi.mpi_pow``
+    gives; every other case is ``mpi_pow`` itself.  A fractional power of
+    an enclosure reaching below zero is undefined there, so it raises
+    Undecided: a higher precision may narrow the base onto [0, inf).
     """
+    ends = _fractional_pow(base, expo, (0, 1))
+    if ends is not None:
+        return iv.make_mpf(tuple(ends))
     b = to_iv(base)._mpi_
     if not (isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1):
         if isinstance(expo, Fraction):

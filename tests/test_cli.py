@@ -3,7 +3,10 @@
 import csv
 import functools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -37,6 +40,22 @@ def test_decode_pinned_output(qvec_files, capsys):
     rc = main(["decode", "--qvec", qvec_files["luroth"], "--digits", "[1,0]"])
     assert rc == 0
     assert capsys.readouterr().out == '{"left":"1/2","length":"1/12"}\n'
+
+
+def test_closed_stdout_exits_quietly(qvec_files):
+    # a reader that has gone is not an error to report: stderr stays empty
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "qinfty.cli", "decode", "--qvec", qvec_files["luroth"], "--digits", "[1,0]"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, b"")
 
 
 def test_encode_decode_consistency(qvec_files, capsys):

@@ -230,13 +230,12 @@ def test_scan_unsorted_m_grid_allowed():
 
 def test_scan_rejects_non_monotone_row(monkeypatch):
     # bounds of sums of positive terms cannot shrink as M grows
-    real_cell = faithfulness._cell
+    real_rhs = faithfulness._rhs
 
-    def shrinking_rhs(spec, n, M, alpha, expo, start):
-        lhs, _ = real_cell(spec, n, M, alpha, expo, start)
-        return lhs, real_cell(spec, n, 100 - M, alpha, expo, start)[1]
+    def shrinking_rhs(spec, n, M, alpha, mass, expo, start):
+        return real_rhs(spec, n, 100 - M, alpha, mass, expo, start)
 
-    monkeypatch.setattr(faithfulness, "_cell", shrinking_rhs)
+    monkeypatch.setattr(faithfulness, "_rhs", shrinking_rhs)
     with pytest.raises(QinftyError, match=r"row n=20: .* M=30 to M=40"):
         scan_condition_region(GEO, ALPHA_HALF, DELTA_TENTH, [20], [30, 40])
 
@@ -352,7 +351,7 @@ def _fraction_check_row(spec, query, n):
     alpha, expo = query.alpha, query.alpha - query.delta
     m_min = query.N + 1
     if spec.power_tail_converges(alpha):
-        fast = lower(faithfulness._lhs(spec, n, m_min, expo)) - upper(spec.power_sum(alpha, n))
+        fast = lower(ipow(faithfulness._mass(spec, n, m_min), expo)) - upper(spec.power_sum(alpha, n))
         if fast >= 0:
             return fast
 
@@ -367,7 +366,7 @@ def _fraction_check_row(spec, query, n):
         elif margin is None or cell < margin:
             margin = cell
 
-    lhs_inf = faithfulness._lhs(spec, n, None, expo)
+    lhs_inf = ipow(faithfulness._mass(spec, n, None), expo)
     if spec.power_tail_converges(alpha):
         rhs_inf = spec.power_sum(alpha, n)
         if upper(lhs_inf) < lower(rhs_inf):
@@ -529,8 +528,8 @@ def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memo
             return self.powers[key]
 
     def spy(self, j, s):
-        powers, top = memoized(self, j, s)
-        return Reads(j, powers), top
+        powers, heads, tails = memoized(self, j, s)
+        return Reads(j, powers), heads, tails
 
     monkeypatch.setattr(QVectorSpec, "weight_power_block", spy)
     verdict = check_condition(PL2, query).to_json()
@@ -544,13 +543,16 @@ def test_block_scan_sums_stop_one_block_past_the_witness(monkeypatch, clear_memo
 
 def _record_walks(monkeypatch) -> list:
     """Per row walk from now on: (M of each yielded cell, m_min, left-side
-    powers taken, running-sum terms added) while the walk itself runs."""
-    walk, real_ipow, real_adder = faithfulness.row_cells, faithfulness.ipow, rigor.adder
+    powers taken, whole or one end, running-sum terms added) while the walk
+    itself runs."""
+    walk, real_adder = faithfulness.row_cells, rigor.adder
     counts = {"ipow": 0, "add": 0}
 
-    def ipow_spy(*args):
-        counts["ipow"] += 1
-        return real_ipow(*args)
+    def counted_power(real):
+        def power_spy(*args):
+            counts["ipow"] += 1
+            return real(*args)
+        return power_spy
 
     def adder_spy():
         add = real_adder()
@@ -572,7 +574,8 @@ def _record_walks(monkeypatch) -> list:
             walks.append((yielded, m_min, counts["ipow"] - before["ipow"],
                           counts["add"] - before["add"]))
 
-    monkeypatch.setattr(faithfulness, "ipow", ipow_spy)
+    monkeypatch.setattr(faithfulness, "ipow", counted_power(faithfulness.ipow))
+    monkeypatch.setattr(faithfulness, "ipow_end", counted_power(faithfulness.ipow_end))
     monkeypatch.setattr(rigor, "adder", adder_spy)
     monkeypatch.setattr(faithfulness, "row_cells", spy)
     return walks
@@ -666,9 +669,13 @@ def test_block_scan_row_memory_does_not_grow_with_the_window_count():
 
 def _unmemoized_weight_power_block(self, j, s):
     """QVectorSpec.weight_power_block without its memo: the powers each cell
-    took before, and the rounded-up sum of their upper ends."""
+    took before, and the rounded-up sums of their upper ends from either
+    edge of the block."""
     powers = tuple(ipow(self.q(i), s)._mpi_ for i in range(32 * j, 32 * j + 32))
-    return powers, reduce(rigor.upper_adder(), (p[1] for p in powers), libmp.fzero)
+    ups = [p[1] for p in powers]
+    heads = [reduce(rigor.upper_adder(), ups[:n], libmp.fzero) for n in range(33)]
+    tails = [reduce(rigor.upper_adder(), reversed(ups[n:]), libmp.fzero) for n in range(33)]
+    return powers, heads, tails
 
 
 def test_luroth_verdict_same_with_cold_warm_and_no_weight_power_memo(monkeypatch, clear_memos):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from mpmath import iv, libmp, mp
+from mpmath import iv, libmp
 
 from qinfty import rigor
 from qinfty.errors import CapacityError, ParameterRangeError
@@ -384,7 +384,7 @@ def test_weight_power_is_ipow_of_the_weight(spec):
     for bits in (53, 96):
         with workprec(bits):
             for i in indices:
-                powers, _ = spec.weight_power_block(i // 32, Fraction(2, 5))
+                powers = spec.weight_power_block(i // 32, Fraction(2, 5))[0]
                 assert powers[i % 32] == ipow(spec.q(i), Fraction(2, 5))._mpi_
 
 
@@ -393,32 +393,33 @@ def _upper_sum(ends) -> tuple:
     return reduce(rigor.upper_adder(), ends, libmp.fzero)
 
 
-def _power_top_reference(spec, s, a, b) -> tuple:
-    """raw_power_top index by index: a run of 32 indices from a multiple of
-    32 adds its own rounded-up sum, any other index its upper end."""
-    add, total, i = rigor.upper_adder(), libmp.fzero, a
-    while i <= b:
-        n = 32 if i % 32 == 0 and i + 31 <= b else 1
-        total = add(total, _upper_sum(p[1] for p in spec.raw_weight_powers(s, i, i + n - 1)))
-        i += n
-    return total
-
-
 @pytest.mark.parametrize("spec", [LUR, GEO3, PL2, _SHUFFLED], ids=["luroth", "geometric", "powerlaw2", "custom"])
 @pytest.mark.parametrize("bits", [16, 24, 64])
 def test_power_block_tops_are_the_sums_of_their_upper_ends(clear_memos, spec, bits):
     s = Fraction(2, 5)
     with workprec(bits):
         for j in (0, 1, 3):
-            powers, top = spec.weight_power_block(j, s)
-            assert top == _upper_sum(p[1] for p in powers)
-        # aligned, unaligned, one-index and empty ranges
-        for a, b in [(0, 31), (32, 127), (0, 95), (5, 70), (33, 40), (31, 32), (7, 7), (9, 8), (40, 3)]:
+            powers, heads, tails = spec.weight_power_block(j, s)
+            ups = [p[1] for p in powers]
+            # a full block's total keeps its index-order bits; each edge
+            # total is its part added from that edge
+            assert heads[32] == _upper_sum(ups)
+            assert list(heads) == [_upper_sum(ups[:n]) for n in range(33)]
+            assert list(tails) == [_upper_sum(reversed(ups[n:])) for n in range(33)]
+        # aligned, unaligned, single-block and empty ranges
+        for a, b in [(0, 31), (32, 127), (0, 95), (5, 70), (33, 40), (31, 32), (7, 7), (9, 8),
+                     (40, 3), (32, 40), (40, 63), (1, 30)]:
             powers = list(spec.raw_weight_powers(s, a, b))
             assert len(powers) == max(b - a + 1, 0)
             top = spec.raw_power_top(s, a, b)
-            assert top == _power_top_reference(spec, s, a, b)
-            assert rigor.frac_of_mpf(mp.make_mpf(top)) >= sum(rigor.frac_of_mpf(mp.make_mpf(p[1])) for p in powers)
+            assert rigor.frac_of_raw(top) >= sum((rigor.frac_of_raw(p[1]) for p in powers), Fraction(0))
+            if a // 32 == b // 32 and a % 32 and b % 32 != 31:
+                # strictly inside one block: the index-order sum
+                assert top == _upper_sum(p[1] for p in powers)
+        # a part of a block that touches one of its edges adds that edge's total
+        tails, heads = spec.weight_power_block(1, s)[2], spec.weight_power_block(2, s)[1]
+        assert spec.raw_power_top(s, 40, 63) == tails[8]
+        assert spec.raw_power_top(s, 40, 70) == rigor.upper_adder()(tails[8], heads[7])
 
 
 def test_empty_power_ranges_compute_no_block(clear_memos):

@@ -19,6 +19,7 @@ from qinfty.rigor import (
     frac_of_mpf,
     hull,
     ipow,
+    ipow_end,
     lower,
     parse_frac,
     plus_minus,
@@ -533,6 +534,75 @@ def test_integer_lift_matches_the_interval_constructor(bits, n, as_fraction):
     x = Fraction(n) if as_fraction else n
     with workprec(bits):
         assert to_iv(x)._mpi_ == iv.mpf(n)._mpi_
+
+
+# --- one end of a power ----------------------------------------------------------
+
+def _mpi_pow_ipow(base, expo):
+    """ipow as it was before its fractional case computed each end on its
+    own: the lifted base and exponent through ``libmpi.mpi_pow``."""
+    b = to_iv(base)._mpi_
+    if not (isinstance(expo, int) or expo.denominator == 1):
+        expo = to_iv(expo)
+        if libmp.mpf_sign(b[0]) < 0:
+            raise Undecided("below zero")
+    return libmpi.mpi_pow(b, to_iv(expo)._mpi_, iv.prec)
+
+
+_positive_raw = st.builds(libmp.from_man_exp, st.integers(1, 2**200), st.integers(-300, 300))
+
+
+@st.composite
+def _power_bases(draw):
+    """Fractions and ints either side of 1, rationals wider than the
+    precision, and enclosures below, above and straddling 1 or reaching
+    down to 0 or below."""
+    kind = draw(st.sampled_from(["fraction", "wide", "int", "enclosure", "straddle", "zero", "negative"]))
+    if kind == "fraction":
+        return draw(st.fractions(min_value=0, max_value=4, max_denominator=1000))
+    if kind == "wide":
+        return Fraction(draw(st.integers(1, 2**300)), draw(st.integers(1, 2**300)))
+    if kind == "int":
+        return draw(st.integers(0, 2**70))
+    ends = sorted((draw(_positive_raw), draw(_positive_raw)), key=mp.make_mpf)
+    if kind == "straddle":
+        ends = [min(ends[0], libmp.fhalf, key=mp.make_mpf), max(ends[1], libmp.from_int(2), key=mp.make_mpf)]
+    elif kind == "zero":
+        ends[0] = libmp.fzero
+    elif kind == "negative":
+        ends[0] = libmp.mpf_neg(ends[0])
+    elif draw(st.booleans()):
+        ends[0] = ends[1]  # a point enclosure
+    return iv.make_mpf(tuple(ends))
+
+
+_power_exponents = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(2), 3, -2]),
+)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(st.sampled_from([16, 24, 53, 96, 192]), _power_bases(), _power_exponents, st.sampled_from([0, 1]))
+def test_one_end_of_a_power_is_that_end_of_ipow(bits, base, expo, side):
+    with workprec(bits):
+        whole = _outcome(lambda: ipow(base, expo)._mpi_)
+        assert whole == _outcome(lambda: _mpi_pow_ipow(base, expo))
+        expected = whole[side] if isinstance(whole, tuple) else whole
+        assert _outcome(lambda: ipow_end(base, expo, side)) == expected
+
+
+@settings(deadline=None)
+@given(_nums)
+def test_lower_and_upper_are_the_ends_of_the_enclosure(x):
+    assert (lower(x), upper(x)) == endpoints(x)
 
 
 @pytest.mark.parametrize("bits", [16, 53, 64, 96, 384])
