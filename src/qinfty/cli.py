@@ -452,11 +452,16 @@ def main(argv=None) -> int:
         # keep exit 2 reserved for selftest invariant failures
         return 0 if exc.code == 0 else 1
     try:
-        return args.handler(args)
+        rc = args.handler(args)
+        # flush here, so a reader that has gone is seen inside this try
+        sys.stdout.flush()
+        return rc
     except BrokenPipeError:
         # the reader of stdout has gone: nothing to report, and the exit
         # flush of what is still buffered goes to devnull instead of failing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except QinftyError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, Optional
 
-from mpmath import iv, libmp
+from mpmath import iv
 
 from . import rigor
 from .errors import InvalidIntervalError, ParameterRangeError, Undecided
@@ -47,7 +46,7 @@ from .expansion import (
     right_end,
 )
 from .qvector import QVectorSpec
-from .rigor import Num, frac_of_raw, ipow, ipow_end, lower, max_num, mul_end, to_iv, upper, workprec
+from .rigor import Num, ipow, lower, max_num, to_iv, upper, workprec
 
 _SEARCH_CAP = 2**64
 
@@ -95,15 +94,15 @@ def block_bounds(spec: QVectorSpec, block: Block) -> tuple[Num, Num]:
     )
 
 
-def alpha_volume(spec: QVectorSpec, blocks, alpha: Fraction) -> tuple:
-    """A raw mpf at least sum |block|^alpha, the certified bound: the upper
-    ends of the terms (``rigor.ipow_end``) added in order rounding up, the
-    upper end of the enclosure an interval sum of the terms gives."""
+def alpha_volume(spec: QVectorSpec, blocks, alpha: Fraction) -> Num:
+    """Enclosure of sum |block|^alpha; the upper endpoint is the certified bound."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ParameterRangeError("alpha must lie in (0, 1]")
-    add = rigor.upper_adder()
-    return reduce(add, (ipow_end(block_length(spec, blk), alpha, 1) for blk in blocks), libmp.fzero)
+    total = to_iv(0)
+    for blk in blocks:
+        total = total + ipow(block_length(spec, blk), alpha)
+    return total
 
 
 # --- the greedy tail partition ----------------------------------------------
@@ -157,14 +156,9 @@ class Lemma1Partition:
         head = self._mass(0, n)
         if not lower(head) > 0:
             return False
-        lhs_up = self._over_factor_upper(ipow_end(t, self.alpha, 1))
-        return lhs_up <= frac_of_raw(ipow_end(head, self.alpha, 0))
-
-    def _over_factor_upper(self, x) -> Fraction:
-        """upper(x / (1 - 2^-alpha)) for x >= 0 given by its upper end (a raw
-        mpf): the upper end of the interval quotient, which reads no other
-        end of x."""
-        return upper(iv.make_mpf((x, x)) / self._half_alpha_factor)
+        lhs = ipow(t, self.alpha) / self._half_alpha_factor
+        rhs = ipow(head, self.alpha)
+        return upper(lhs) <= lower(rhs)
 
     def boundary(self, k: int) -> int:
         """n_k for k >= 1."""
@@ -194,14 +188,16 @@ class Lemma1Partition:
 
     def series_alpha_tail(self, emitted: int) -> Fraction:
         """Upper bound on sum_{m > emitted} (group m mass)^alpha."""
-        return self._over_factor_upper(ipow_end(self.tail_at_head * Fraction(1, 2**emitted), self.alpha, 1))
+        geom = ipow(self.tail_at_head * Fraction(1, 2**emitted), self.alpha)
+        return upper(geom / self._half_alpha_factor)
 
     def verify(self, groups: int = 8) -> bool:
         """Directed re-check of the defining inequality over `groups` groups."""
-        acc = reduce(rigor.upper_adder(), (ipow_end(self.group_mass(m), self.alpha, 1)
-                                           for m in range(1, groups + 1)), libmp.fzero)
-        total_up = frac_of_raw(acc) + self.series_alpha_tail(groups)
-        head_low = frac_of_raw(ipow_end(self.group_mass(0), self.alpha, 0))
+        acc = to_iv(0)
+        for m in range(1, groups + 1):
+            acc = acc + ipow(self.group_mass(m), self.alpha)
+        total_up = upper(acc) + self.series_alpha_tail(groups)
+        head_low = lower(ipow(self.group_mass(0), self.alpha))
         return total_up <= head_low
 
 
@@ -269,10 +265,6 @@ class CoverCertificate:
     sum |block|^alpha + sum |residual|^alpha and ``bound_rhs`` is a rational
     lower bound on K(alpha, delta) * |E|^(alpha - delta), so the recorded
     inequality alpha_volume_upper <= bound_rhs is certified as stated.
-    Each is computed from one end alone: the volumes (and
-    ``right_part_volume_upper``) add the upper ends of their terms rounding
-    up, in the order an interval sum adds them, and ``bound_rhs`` is the
-    lower end of K times that of the power, rounded down.
 
     ``residuals`` are outer rational bounds of the uncovered-by-blocks
     leftovers.  In lazy mode they are empty: ``stream`` yields the finite
@@ -391,12 +383,11 @@ def _cover_once(
 
     e_val = _point_value(spec, b) - _point_value(spec, a)
     _, k_enc = kappa(spec, alpha, params.delta)
-    rhs = mul_end(k_enc._mpi_[0], ipow_end(e_val, alpha - params.delta, 0), 0)
-    add = rigor.upper_adder()
+    rhs = k_enc * ipow(e_val, alpha - params.delta)
 
     def certificate(blocks, residuals, vol, **extra) -> CoverCertificate:
-        vol_up = frac_of_raw(vol)
-        rhs_low = frac_of_raw(rhs)
+        vol_up = upper(vol)
+        rhs_low = lower(rhs)
         if vol_up > rhs_low:
             raise Undecided("could not certify the covering volume bound on the precision ladder")
         return CoverCertificate(
@@ -453,45 +444,45 @@ def _cover_once(
     lazy = params.mode == MODE_LAZY_STREAM
     budget = params.eps_res / ell
 
-    # the volumes are upper ends, added in order rounding up
     residuals: list[tuple[Fraction, Fraction]] = []
     rank_heads: list[tuple[int, Block]] = []
-    vol = libmp.fzero
-    right_vol = alpha_volume(spec, right_blocks, alpha)
+    vol = to_iv(0)
+    right_vol = to_iv(0)
+    for blk in right_blocks:
+        right_vol = right_vol + ipow(block_length(spec, blk), alpha)
 
     for job in jobs:
         head = job.block(0)
         rank_heads.append((job.rank_offset, head))
         if lazy:
             # whole-partition bound: head alpha-power plus the certified series
-            head_pow = ipow_end(block_length(spec, head), alpha, 1)
-            series = mul_end(ipow_end(cylinder_length(spec, job.prefix), alpha, 1),
-                             to_iv(job.part.series_alpha_tail(0))._mpi_[1], 1)
-            vol = add(add(vol, head_pow), series)
+            head_pow = ipow(block_length(spec, head), alpha)
+            series = ipow(cylinder_length(spec, job.prefix), alpha) * to_iv(job.part.series_alpha_tail(0))
+            vol = vol + head_pow + series
             if job.rank_offset == 0:
-                right_vol = add(add(right_vol, head_pow), series)
+                right_vol = right_vol + head_pow + series
             continue
         blocks, leftover = _emit_tail_blocks(spec, job, budget)
         by_rank[job.rank_offset] = blocks
         residuals += leftover
         if job.rank_offset == 0:
             for blk in blocks:
-                right_vol = add(right_vol, ipow_end(block_length(spec, blk), alpha, 1))
+                right_vol = right_vol + ipow(block_length(spec, blk), alpha)
             for lo, hi in leftover:
-                right_vol = add(right_vol, ipow_end(hi - lo, alpha, 1))
+                right_vol = right_vol + ipow(hi - lo, alpha)
 
     # geometric order: deepest left tail first, then up the ranks, then right
     ordered = [blk for k in range(ell, 0, -1) for blk in by_rank.get(k, ())]
     finite_blocks = _merge_adjacent(ordered + right_blocks + by_rank.get(0, []))
-    vol = add(vol, alpha_volume(spec, finite_blocks, alpha))
+    vol = vol + alpha_volume(spec, finite_blocks, alpha)
     for lo, hi in residuals:
-        vol = add(vol, ipow_end(hi - lo, alpha, 1))
+        vol = vol + ipow(hi - lo, alpha)
 
     return certificate(
         finite_blocks,
         residuals,
         vol,
-        right_part_volume_upper=frac_of_raw(right_vol),
+        right_part_volume_upper=upper(right_vol),
         j1_length_upper=None if j1_block is None else upper(block_length(spec, j1_block)),
         rank_heads=tuple(rank_heads),
         stream=_lazy_blocks(finite_blocks, jobs) if lazy else None,

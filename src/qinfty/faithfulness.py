@@ -125,24 +125,25 @@ def _cell(
     spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, expo: Fraction, start: int
 ) -> tuple[Num, Num]:
     """(lhs, rhs) of cell (n, M), M = None meaning the limit cell."""
-    mass = _mass(spec, n, M)
-    return ipow(mass, expo), _rhs(spec, n, M, alpha, mass, expo, start)
+    lhs = ipow(_mass(spec, n, M), expo)
+    return lhs, _rhs(spec, n, M, alpha, lhs._mpi_[1], start)
 
 
 def _rhs(
-    spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, mass: Num, expo: Fraction,
-    start: int,
+    spec: QVectorSpec, n: int, M: Optional[int], alpha: Fraction, lhs_up, start: int
 ) -> Num:
-    """rhs of cell (n, M), whose window mass is ``mass``.
+    """rhs of cell (n, M), given the upper end of its lhs as a raw mpf; that
+    end is read only for the limit cell of a divergent power tail, and may
+    be None elsewhere.
 
     On a divergent power tail, the limit cell's rhs is the first partial
     sum over [n, n+m], m doubling from max(start, 1), whose lower end passes
-    upper(mass^expo): the whole tail exceeds it, so the cell certifies a
+    upper(lhs): the whole tail exceeds it, so the cell certifies a
     violation.
     """
     if M is not None or spec.power_tail_converges(alpha):
         return spec.power_sum(alpha, n, None if M is None else n + M)
-    lhs_up = frac_of_raw(ipow_end(mass, expo, 1))
+    lhs_up = frac_of_raw(lhs_up)
     m = max(start, 1)
     while m <= _DIVERGENT_DOUBLING_CAP:
         partial = spec.power_sum(alpha, n, n + m)
@@ -306,9 +307,8 @@ def _check_row(spec: QVectorSpec, query: ConditionQuery, n: int) -> Optional[Fra
 def _reverify(spec: QVectorSpec, query: ConditionQuery, vio: _Violation, bits: int) -> bool:
     with workprec(bits):
         try:
-            expo, mass = query.alpha - query.delta, _mass(spec, vio.n, vio.M)
-            lhs_up = ipow_end(mass, expo, 1)
-            rhs = _rhs(spec, vio.n, vio.M, query.alpha, mass, expo, query.M_max)
+            lhs_up = ipow_end(_mass(spec, vio.n, vio.M), query.alpha - query.delta, 1)
+            rhs = _rhs(spec, vio.n, vio.M, query.alpha, lhs_up, query.M_max)
         except CapacityError:
             return False
         return frac_of_raw(lhs_up) < lower(rhs)
@@ -418,11 +418,11 @@ def scan_condition_region(
         for n in n_grid:
             row: list[MarginRow] = []
             for M in m_grid:
-                mass = _mass(spec, n, M)
-                lhs_low = ipow_end(mass, expo, 0)
-                rhs = _rhs(spec, n, M, alpha, mass, expo, start)
-                rhs_col = lower(rhs) if M is None and diverges else upper(rhs)
-                row.append(MarginRow(n, M, frac_of_raw(lhs_low), rhs_col))
+                mass, limit = _mass(spec, n, M), M is None and diverges
+                lhs_up = ipow_end(mass, expo, 1) if limit else None
+                rhs = _rhs(spec, n, M, alpha, lhs_up, start)
+                rhs_col = lower(rhs) if limit else upper(rhs)
+                row.append(MarginRow(n, M, frac_of_raw(ipow_end(mass, expo, 0)), rhs_col))
             by_m = sorted((c for c in row if c.M is not None), key=lambda c: c.M)
             for prev, cur in zip(by_m, by_m[1:]):
                 if cur.lhs_lower < prev.lhs_lower or cur.rhs_upper < prev.rhs_upper:

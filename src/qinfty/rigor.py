@@ -141,40 +141,33 @@ _ROUND = (libmp.round_floor, libmp.round_ceiling)  # the rounding of each end, l
 
 
 def _lift_end(p: int, q: int, side: int, prec: int):
-    """End ``side`` (0 lower, 1 upper) of ``to_iv(Fraction(p, q))`` for
-    p, q >= 1, lifted alone by the branch :func:`to_iv` takes: an integer
-    gets the end ``iv.mpf`` gives it, a rational that fits the precision the
-    rounded quotient, and a wider one the end the interval division of its
-    two lifted integers gives, p's end over q's other end.  :func:`to_iv`
-    keeps its own two-end lift, the hot path of the power-sum prefix
-    fills."""
+    """End ``side`` (0 lower, 1 upper) of the enclosure of p/q, q >= 1, at
+    ``prec`` bits: an integer gets the end ``iv.mpf`` gives it, a rational
+    that fits the precision the rounded quotient, and a wider one the end
+    the interval division of its two lifted integers gives, p's end over
+    the end of q that ``mpi_div`` picks for the sign of p."""
     rnd = _ROUND[side]
     if q == 1:
         return libmp.from_int(p, prec, rnd)
     if p.bit_length() <= prec and q.bit_length() <= prec:
+        # both lift exactly, so this is the interval division's end
         return libmp.from_rational(p, q, prec, rnd)
-    return libmp.mpf_div(libmp.from_int(p, prec, rnd), libmp.from_int(q, prec, _ROUND[1 - side]), prec, rnd)
+    q_end = _ROUND[1 - side if p > 0 else side]
+    return libmp.mpf_div(libmp.from_int(p, prec, rnd), libmp.from_int(q, prec, q_end), prec, rnd)
 
 
 def to_iv(x) -> "iv.mpf":
-    """Enclose an int, Fraction, or iv value; ivs pass through.  An integer,
-    or a Fraction with denominator 1, gets the ends ``iv.mpf`` gives it,
-    without its generic dispatch."""
+    """Enclose an int, Fraction, or iv value; ivs pass through.  Each end of
+    an int or a Fraction is :func:`_lift_end`'s, the bits ``iv.mpf`` and
+    its interval division give, without their generic dispatch."""
     if isinstance(x, Fraction):
         p, q = x.numerator, x.denominator
-        if q != 1:
-            prec = iv.prec
-            if p.bit_length() <= prec and q.bit_length() <= prec:
-                # both lift exactly, so this is the interval division's result
-                return iv.make_mpf((libmp.from_rational(p, q, prec, libmp.round_floor),
-                                    libmp.from_rational(p, q, prec, libmp.round_ceiling)))
-            return to_iv(p) / to_iv(q)
-        x = p
-    if isinstance(x, int):
-        prec = iv.prec
-        return iv.make_mpf((libmp.from_int(x, prec, libmp.round_floor),
-                            libmp.from_int(x, prec, libmp.round_ceiling)))
-    return iv.mpf(x)
+    elif isinstance(x, int):
+        p, q = x, 1
+    else:
+        return iv.mpf(x)
+    prec = iv.prec
+    return iv.make_mpf((_lift_end(p, q, 0, prec), _lift_end(p, q, 1, prec)))
 
 
 def adder() -> Callable:

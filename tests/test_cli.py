@@ -48,6 +48,7 @@ def test_closed_stdout_exits_quietly(qvec_files):
     os.close(read_end)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout meets the closed pipe only when flushed
     try:
         run = subprocess.run(
             [sys.executable, "-m", "qinfty.cli", "decode", "--qvec", qvec_files["luroth"], "--digits", "[1,0]"],

@@ -138,6 +138,27 @@ def test_divergent_power_tail_reported_as_limit_witness():
     assert verdict.rhs_lower > verdict.lhs_upper
 
 
+def test_divergent_limit_cell_passes_the_upper_end_of_its_lhs(monkeypatch):
+    # the limit cell's partial sum must pass upper(lhs), so the row scan,
+    # the re-verification and the margin table each hand _rhs that end
+    real_rhs, seen = faithfulness._rhs, []
+
+    def spy(spec, n, M, alpha, lhs_up, start):
+        if M is None:
+            seen.append((n, lhs_up, mp.iv.prec))
+        return real_rhs(spec, n, M, alpha, lhs_up, start)
+
+    monkeypatch.setattr(faithfulness, "_rhs", spy)
+    alpha, delta = Fraction(9, 20), Fraction(11, 25)
+    verdict = check_condition(PL2, ConditionQuery(alpha, delta, 2, 3, 5))
+    scan_condition_region(PL2, alpha, delta, [3], [5, None])
+    scan_bits = rigor.DEFAULT_PREC
+    assert {bits for _, _, bits in seen} == {verdict.precision_bits, verdict.reverified_bits, scan_bits}
+    for n, lhs_up, bits in seen:
+        with workprec(bits):
+            assert lhs_up == ipow(faithfulness._mass(PL2, n, None), alpha - delta)._mpi_[1]
+
+
 def test_one_term_window_excluded_and_trivially_fine():
     # M = 0 never enters the scan domain M > N >= 0; the one-term
     # inequality q^{alpha-delta} >= q^alpha holds since q < 1
@@ -232,8 +253,8 @@ def test_scan_rejects_non_monotone_row(monkeypatch):
     # bounds of sums of positive terms cannot shrink as M grows
     real_rhs = faithfulness._rhs
 
-    def shrinking_rhs(spec, n, M, alpha, mass, expo, start):
-        return real_rhs(spec, n, 100 - M, alpha, mass, expo, start)
+    def shrinking_rhs(spec, n, M, alpha, lhs_up, start):
+        return real_rhs(spec, n, 100 - M, alpha, lhs_up, start)
 
     monkeypatch.setattr(faithfulness, "_rhs", shrinking_rhs)
     with pytest.raises(QinftyError, match=r"row n=20: .* M=30 to M=40"):
