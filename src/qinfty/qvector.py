@@ -244,8 +244,12 @@ class QVectorSpec:
         return _normalizer(self.m0) * powsum(self.m0, Fraction(0), a + 1, b + 1)
 
     def max_weight(self) -> Num:
-        """The largest weight; found by the tail-cutoff scan."""
+        """The largest weight: q_0 where the weights are nonincreasing from
+        the start, and otherwise found by the tail-cutoff scan, which on a
+        shallow power law would run to its cap."""
         best = self.q(0)
+        if self.weights_nonincreasing_from(0):
+            return best
         for i in range(1, _MAX_SCAN + 1):
             if rigor.decide_lt(self.tail_sum(i), best) is True:
                 return best

@@ -160,7 +160,7 @@ def to_iv(x) -> "iv.mpf":
     """Enclose an int, Fraction, or iv value; ivs pass through.  Each end of
     an int or a Fraction is :func:`_lift_end`'s, the bits ``iv.mpf`` and
     its interval division give, without their generic dispatch."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         p, q = x.numerator, x.denominator
     elif isinstance(x, int):
         p, q = x, 1
@@ -207,7 +207,7 @@ def frac_of_mpf(m) -> Fraction:
 
 def endpoints(x: Num) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of a value's enclosure."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x, x
     at, bt = x._mpi_
     return frac_of_raw(at), frac_of_raw(bt)
@@ -215,12 +215,12 @@ def endpoints(x: Num) -> tuple[Fraction, Fraction]:
 
 def lower(x: Num) -> Fraction:
     """``endpoints(x)[0]``, converting only that end."""
-    return x if isinstance(x, Fraction) else frac_of_raw(x._mpi_[0])
+    return x if type(x) is Fraction else frac_of_raw(x._mpi_[0])
 
 
 def upper(x: Num) -> Fraction:
     """``endpoints(x)[1]``, converting only that end."""
-    return x if isinstance(x, Fraction) else frac_of_raw(x._mpi_[1])
+    return x if type(x) is Fraction else frac_of_raw(x._mpi_[1])
 
 
 def mul_end(x, y, side: int):
@@ -246,7 +246,7 @@ def hull(lo: Num, hi: Num) -> "iv.mpf":
 
 def max_num(x: Num, y: Num) -> Num:
     """Enclosure of max(x, y); exact when both are exact."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
+    if type(x) is Fraction and type(y) is Fraction:
         return max(x, y)
     xl, xu = endpoints(x)
     yl, yu = endpoints(y)
@@ -266,7 +266,7 @@ def plus_minus(x: Num, err: Num) -> "iv.mpf":
 def _ends(x: Num, y: Num):
     """x's and y's endpoints with comparisons exact on them, (le, lt): raw
     mpfs when both are enclosures, Fractions when either is exact."""
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
+    if type(x) is Fraction or type(y) is Fraction:
         return endpoints(x) + endpoints(y) + (operator.le, operator.lt)
     return x._mpi_ + y._mpi_ + (libmp.mpf_le, libmp.mpf_lt)
 
@@ -370,8 +370,8 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
     if ends is not None:
         return iv.make_mpf(tuple(ends))
     b = to_iv(base)._mpi_
-    if not (isinstance(expo, int) or isinstance(expo, Fraction) and expo.denominator == 1):
-        if isinstance(expo, Fraction):
+    if not (isinstance(expo, int) or type(expo) is Fraction and expo.denominator == 1):
+        if type(expo) is Fraction:
             expo = _exponent(expo.numerator, expo.denominator)
         if libmp.mpf_sign(b[0]) < 0:
             raise Undecided(f"fractional power of an enclosure reaching below zero at {iv.prec} bits")
@@ -380,7 +380,7 @@ def ipow(base: Num, expo: Num) -> "iv.mpf":
 
 def approx_str(x: Num, digits: int = 12) -> str:
     """Human-readable decimal rendering; display only, not a bound."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return mp.nstr(mp.mpf(x.numerator) / x.denominator, digits)
     a, b = x._mpi_
     sa = mp.nstr(mp.make_mpf(a), digits)
@@ -428,7 +428,7 @@ def parse_frac(text: str) -> Fraction:
 
 def num_to_json(x: Num):
     """Fraction -> 'p/q'; enclosure -> {'lo','hi','approx'} with exact ends."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return frac_str(x)
     a, b = endpoints(x)
     return {"lo": frac_str(a), "hi": frac_str(b), "approx": approx_str(x)}
@@ -448,12 +448,19 @@ def num_to_json(x: Num):
 #
 # All three run on raw enclosures (``_mpi_`` endpoint pairs) with the
 # libmpi calls that ``iv.mpf``'s operators make, in the same order, so
-# they give the bits of the interval expressions they stand for.  A
-# fractional power x^t is exp(t * log x) there, and log x does not depend
-# on t, so :func:`_powers` takes it once per endpoint for all seven
-# exponents of the bracket.  :func:`_em_ends` memoizes an endpoint's seven
-# powers by (p, x): a search that holds one end of its ranges fixed
-# computes that end once.
+# they give the bits of the interval expressions they stand for.  The
+# prefix fill and the direct sum take their terms from one generator,
+# :func:`_terms`.  For an integer p and an integral offset, mpi_pow raises
+# the point j + o to the power p at prec + 20 bits and divides 1 by that
+# power x; while j + o lifts exactly and x has at most prec + 20 bits, the
+# term is the floor and ceiling of 1 / x at prec bits, one integer
+# division.  Past that guard, and for any other p or offset, each term is
+# mpi_pow's.
+# A fractional power x^t is exp(t * log x), and log x does not depend on t,
+# so :func:`_powers` takes it once per endpoint for all seven exponents of
+# the bracket.  :func:`_em_ends` memoizes an endpoint's seven powers by
+# (p, x): a search that holds one end of its ranges fixed computes that end
+# once.
 # ---------------------------------------------------------------------------
 
 _TWO = (libmp.from_int(2),) * 2  # the divisor ``x / 2`` lifts, at any precision
@@ -483,9 +490,41 @@ def _powers(x, exps, prec: int) -> tuple:
     return tuple(out)
 
 
+def _terms(p: Fraction, o: Fraction, a: int, b: int, prec: int) -> Iterable:
+    """The raw terms ``mpi_pow(to_iv(j + o), -p, prec)`` for a <= j <= b,
+    in order, where a + o > 0 and prec is the working precision.
+
+    For an integer p and an integral o, a term whose base j + o has at most
+    prec bits and whose power x = (j + o)^p, of ``bits`` bits, at most
+    prec + 20 is computed from x: 2^(1 - bits) at both ends when x is a
+    power of two, and otherwise floor(2^e / x) and one more, over 2^e, with
+    e = prec + bits - 1.  Both sizes grow with j, so from the first term
+    past that guard on, and for any other p or o, each term is mpi_pow's.
+    """
+    j = a
+    if p.denominator == 1 and o.denominator == 1:
+        n, off, top = p.numerator, o.numerator, prec + 20
+        for j in range(a, b + 1):
+            x = (j + off) ** n
+            bits = x.bit_length()
+            if bits > top or (j + off).bit_length() > prec:
+                break
+            if x & (x - 1):
+                e = prec + bits - 1
+                man = (1 << e) // x
+                yield libmp.from_man_exp(man, -e), libmp.from_man_exp(man + 1, -e)
+            else:
+                end = libmp.from_man_exp(1, 1 - bits)
+                yield end, end
+        else:
+            return
+    t = libmpi.mpi_neg(to_iv(p)._mpi_, prec)
+    for j in range(j, b + 1):
+        yield libmpi.mpi_pow(to_iv(j + o)._mpi_, t, prec)
+
+
 def _direct_sum(p: Fraction, o: Fraction, a: int, b: int) -> "iv.mpf":
-    t, prec = libmpi.mpi_neg(to_iv(p)._mpi_, iv.prec), iv.prec
-    return raw_total(libmpi.mpi_pow(to_iv(j + o)._mpi_, t, prec) for j in range(a, b + 1))
+    return raw_total(_terms(p, o, a, b, iv.prec))
 
 
 def _cache_start(offset: Fraction) -> int:
@@ -503,10 +542,8 @@ def _cum(p: Fraction, o: Fraction, j: int) -> "iv.mpf":
     """Cached cumulative sum_{t=start}^{j} (t+o)^(-p) from the canonical start."""
     start = _cache_start(o)
     with _LOCK:
-        arr = _prefix(p, o)
-        t, prec, add = libmpi.mpi_neg(to_iv(p)._mpi_, iv.prec), iv.prec, adder()
-        while len(arr) <= j - start:
-            term = libmpi.mpi_pow(to_iv(start + len(arr) + o)._mpi_, t, prec)
+        arr, add = _prefix(p, o), adder()
+        for term in _terms(p, o, start + len(arr), j, iv.prec):
             arr.append(add(arr[-1], term) if arr else term)
         return iv.make_mpf(arr[j - start])
 

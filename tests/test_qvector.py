@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -172,6 +173,37 @@ def test_max_weight_exact_families():
 def test_max_weight_powerlaw():
     with workprec(96):
         assert _near(PL2.max_weight(), _dec("0.607927101854026628663276779258"))
+
+
+def _scanned_max_weight(spec: QVectorSpec):
+    """The tail-cutoff scan max_weight ran on every family: the running
+    maximum of the weights until a tail is certified below it."""
+    best = spec.q(0)
+    for i in range(1, 10**6 + 1):
+        if rigor.decide_lt(spec.tail_sum(i), best) is True:
+            return best
+        best = rigor.max_num(best, spec.q(i))
+
+
+@pytest.mark.parametrize("bits", [16, 24, 96])
+@pytest.mark.parametrize("spec", [
+    QVectorSpec.geometric(Fraction(1, 2)), QVectorSpec.geometric(Fraction(1, 3)),
+    QVectorSpec.geometric(Fraction(1, 10)), QVectorSpec.luroth(),
+    QVectorSpec.powerlaw(2), QVectorSpec.powerlaw(3), QVectorSpec.powerlaw(Fraction(5, 2)),
+], ids=lambda spec: spec.family + str(spec.ratio or spec.m0 or ""))
+def test_max_weight_of_a_nonincreasing_family_is_the_scanned_maximum(spec, bits):
+    with workprec(bits):
+        got, scanned = spec.max_weight(), _scanned_max_weight(spec)
+        assert type(got) is type(scanned) and rigor.endpoints(got) == rigor.endpoints(scanned)
+
+
+def test_max_weight_of_a_shallow_power_law_returns_at_once():
+    # its tail falls below q_0 only near index 10^20, so a scan would run to its cap
+    spec = QVectorSpec.powerlaw(Fraction(11, 10))
+    with workprec(96):
+        start = time.perf_counter()
+        assert rigor.endpoints(spec.max_weight()) == rigor.endpoints(spec.q(0))
+        assert time.perf_counter() - start < 1
 
 
 # --- power sums ----------------------------------------------------------------

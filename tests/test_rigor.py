@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -777,6 +778,91 @@ def test_direct_sum_and_prefix_fill_are_bit_identical(bits, p, o, skip, length):
         # a cold fill to a + length, then a read below it and a longer fill
         for j in (a + length, a, a + length + 7):
             assert rigor._cum(p, o, j)._mpi_ == _direct_sum_reference(p, o, start, j)._mpi_
+
+
+def _term_reference(p: Fraction, o: Fraction, j: int):
+    """The raw term (j + o)^(-p) as the interval power operator gives it."""
+    return (to_iv(j + o) ** -to_iv(p))._mpi_
+
+
+def _guard_base(p: int, bits: int) -> int:
+    """The least base x past the integer-power kernel's guard: x wider than
+    ``bits`` bits, or x^p wider than bits + 20."""
+    x = 1
+    while x.bit_length() <= bits and (x ** p).bit_length() <= bits + 20:
+        x *= 2
+    lo = x // 2  # inside the guard; bisect to the least base past it
+    while x - lo > 1:
+        mid = (lo + x) // 2
+        if mid.bit_length() > bits or (mid ** p).bit_length() > bits + 20:
+            x = mid
+        else:
+            lo = mid
+    return x
+
+
+# an example costs well under a millisecond, so this test draws many
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    _KERNEL_BITS,
+    st.integers(1, 7),
+    st.one_of(st.integers(-3, 5).map(Fraction), st.integers(-3, 5).map(lambda n: Fraction(2 * n + 1, 2))),
+    st.sampled_from(["start", "guard", "power of two"]),
+    st.integers(0, 40),
+    st.integers(0, 80),
+)
+def test_integer_power_terms_are_the_interval_powers(bits, p, o, where, back, length):
+    # ranges from the first index, across the guard (where a half-integral
+    # offset has none and keeps the interval power), and around a power of two
+    start = rigor._cache_start(o)
+    if where == "start":
+        a = start + back
+    elif where == "guard":
+        a = max(start, _guard_base(p, bits) - floor(o) - back)
+    else:
+        a = max(start, 2 ** (back % 24) - floor(o) - 3)
+    p = Fraction(p)
+    with workprec(bits):
+        assert list(rigor._terms(p, o, a, a + length, bits)) == [
+            _term_reference(p, o, j) for j in range(a, a + length + 1)]
+
+
+@pytest.mark.parametrize("bits,p,lo,hi", [(16, 3, 4090, 4105), (24, 7, 1, 200), (1000, 101, 1000, 1150)])
+def test_integer_power_terms_cross_the_guard(bits, p, lo, hi):
+    # (lo + 1)^p fits in bits + 20 bits and hi^p does not; at 1000 bits the
+    # exact powers go through mpmath's binary exponentiation
+    p = Fraction(p)
+    assert (lo + 1) ** p < 2 ** (bits + 20) <= hi ** p
+    with workprec(bits):
+        assert list(rigor._terms(p, Fraction(0), lo, hi, bits)) == [
+            _term_reference(p, Fraction(0), j) for j in range(lo, hi + 1)]
+
+
+def test_integer_power_terms_one_bit_past_the_guard():
+    # 97185844919^2 has 74 bits, one past the guard at 53 bits: mpi_pow
+    # rounds it to 73 bits before dividing, and here that moves the lower
+    # end off the floor of the exact reciprocal
+    bits, j = 53, 97185844919
+    x = j ** 2
+    assert x.bit_length() == bits + 21
+    e = bits + x.bit_length() - 1
+    with workprec(bits):
+        term, = rigor._terms(Fraction(2), Fraction(0), j, j, bits)
+        assert term == _term_reference(Fraction(2), Fraction(0), j)
+        assert term[0] != libmp.from_man_exp((1 << e) // x, -e)
+
+
+@pytest.mark.parametrize("bits,p,split,end", [(16, 3, 4000, 4200), (24, 7, 40, 120), (24, 4, 2000, 2100)])
+def test_prefix_filled_across_the_guard_in_two_steps_is_filled_in_one(bits, p, split, end):
+    p, o = Fraction(p), Fraction(0)
+    assert split < _guard_base(int(p), bits) <= end
+    with workprec(bits):
+        rigor._prefix(p, o).clear()
+        rigor._cum(p, o, split)
+        two_steps = rigor._cum(p, o, end)._mpi_
+        rigor._prefix(p, o).clear()
+        assert rigor._cum(p, o, end)._mpi_ == two_steps == _direct_sum_reference(p, o, 1, end)._mpi_
+        assert rigor._direct_sum(p, o, split + 1, end)._mpi_ == _direct_sum_reference(p, o, split + 1, end)._mpi_
 
 
 _IPOW_BASES = st.one_of(
