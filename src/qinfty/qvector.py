@@ -27,7 +27,6 @@ from . import rigor
 from .errors import CapacityError, ParameterRangeError
 from .rigor import Num, ipow, max_num, powsum, to_iv
 
-_MAX_SCAN = 10**6
 _LUR_DIRECT = 600
 # Weight powers are memoized in aligned blocks of _POWER_BLOCK indices; the
 # _POWER_BLOCKS blocks hold the indices of one check-condition row up to
@@ -244,17 +243,10 @@ class QVectorSpec:
         return _normalizer(self.m0) * powsum(self.m0, Fraction(0), a + 1, b + 1)
 
     def max_weight(self) -> Num:
-        """The largest weight: q_0 where the weights are nonincreasing from
-        the start, and otherwise found by the tail-cutoff scan, which on a
-        shallow power law would run to its cap."""
-        best = self.q(0)
-        if self.weights_nonincreasing_from(0):
-            return best
-        for i in range(1, _MAX_SCAN + 1):
-            if rigor.decide_lt(self.tail_sum(i), best) is True:
-                return best
-            best = max_num(best, self.q(i))
-        raise CapacityError("max_weight scan exceeded its iteration cap")
+        """The largest weight: the maximum of q_0, ..., q_k, where k is the
+        first index of :meth:`weights_nonincreasing_from`."""
+        k = len(self.weights) if self.family == "custom" else 0
+        return reduce(max_num, (self.q(i) for i in range(k + 1)))
 
     # -- power sums ----------------------------------------------------
 

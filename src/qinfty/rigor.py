@@ -449,13 +449,7 @@ def num_to_json(x: Num):
 # All three run on raw enclosures (``_mpi_`` endpoint pairs) with the
 # libmpi calls that ``iv.mpf``'s operators make, in the same order, so
 # they give the bits of the interval expressions they stand for.  The
-# prefix fill and the direct sum take their terms from one generator,
-# :func:`_terms`.  For an integer p and an integral offset, mpi_pow raises
-# the point j + o to the power p at prec + 20 bits and divides 1 by that
-# power x; while j + o lifts exactly and x has at most prec + 20 bits, the
-# term is the floor and ceiling of 1 / x at prec bits, one integer
-# division.  Past that guard, and for any other p or offset, each term is
-# mpi_pow's.
+# prefix fill and the direct sum take their terms from :func:`_terms`.
 # A fractional power x^t is exp(t * log x), and log x does not depend on t,
 # so :func:`_powers` takes it once per endpoint for all seven exponents of
 # the bracket.  :func:`_em_ends` memoizes an endpoint's seven powers by
@@ -496,8 +490,9 @@ def _terms(p: Fraction, o: Fraction, a: int, b: int, prec: int) -> Iterable:
 
     For an integer p and an integral o, a term whose base j + o has at most
     prec bits and whose power x = (j + o)^p, of ``bits`` bits, at most
-    prec + 20 is computed from x: 2^(1 - bits) at both ends when x is a
-    power of two, and otherwise floor(2^e / x) and one more, over 2^e, with
+    prec + 20 is computed from x: mpi_pow lifts j + o exactly, raises it
+    to p at prec + 20 bits, exactly too, and divides 1 by x at prec bits,
+    so its ends are floor(2^e / x) and ceil(2^e / x) over 2^e, with
     e = prec + bits - 1.  Both sizes grow with j, so from the first term
     past that guard on, and for any other p or o, each term is mpi_pow's.
     """
@@ -509,13 +504,9 @@ def _terms(p: Fraction, o: Fraction, a: int, b: int, prec: int) -> Iterable:
             bits = x.bit_length()
             if bits > top or (j + off).bit_length() > prec:
                 break
-            if x & (x - 1):
-                e = prec + bits - 1
-                man = (1 << e) // x
-                yield libmp.from_man_exp(man, -e), libmp.from_man_exp(man + 1, -e)
-            else:
-                end = libmp.from_man_exp(1, 1 - bits)
-                yield end, end
+            e = prec + bits - 1
+            man, r = divmod(1 << e, x)
+            yield libmp.from_man_exp(man, -e), libmp.from_man_exp(man + (r > 0), -e)
         else:
             return
     t = libmpi.mpi_neg(to_iv(p)._mpi_, prec)
